@@ -1,32 +1,37 @@
-"""Kernel-layer smoke benchmark: no silent interpreter-overhead regression.
+"""Engine-ratio smoke benchmark: the batch pipeline must not cost more than
+the row pipeline.
 
-All five interpreters now route through the shared operator-kernel layer
-(``backend/runtime/kernels``).  This smoke run re-executes the row/vectorized
-engine comparison through the bench layer and asserts that the vectorized
-engine's relative cost stayed within noise of the pre-refactor baseline --
-the kernel indirection must not erase the columnar engine's advantage.
+Both serial engines are generator pipelines over the shared operator-kernel
+layer (``backend/runtime/kernels``).  This smoke run re-executes the
+row/vectorized engine comparison through the bench layer and asserts that
+the vectorized engine is not slower in aggregate.
 
-Pre-refactor baseline on this suite (G30, IC+BI subset): vectorized/row
-runtime ratio ~0.93 on small graphs, ~0.66 on the larger scaling suite (see
-``test_bench_scaling_engines``); the asserted bound leaves headroom for
-timer noise on loaded CI runners, not for a structural regression.
+Measured on this suite (G30, IC+BI subset, ``Backend.execute`` = drained
+stream, 2 vCPU, 8 runs): vectorized/row runtime ratio 0.78-0.80; the larger
+scaling suite (``test_bench_scaling_engines``) reads 0.74-0.78.  Each query
+is a single sample of <= 40 ms, so the comparison runs with the cyclic GC
+paused (``bench_utils.gc_paused``): with it on, one full collection moved
+the scaling ratio anywhere between 0.63 and 2.05 depending on what ran
+earlier in the process.  The asserted bound leaves headroom for loaded CI
+runners, not for a structural regression.
 """
 
 from repro.bench import experiments, format_table
 
-from bench_utils import run_once
+from bench_utils import gc_paused, run_once
 
 SMOKE_QUERIES = ("IC1", "IC2", "IC5", "IC9", "BI2", "BI9")
 
-#: pre-refactor vectorized/row ratio on this subset plus generous CI noise
-#: allowance -- a kernel-layer overhead regression shows up far above this
+#: measured vectorized/row ratio on this subset (~0.79) plus generous CI
+#: noise allowance -- a batch-pipeline overhead regression shows up far above
 RATIO_BOUND = 1.25
 
 
 def test_bench_kernel_layer_keeps_engine_ratio(benchmark, g30):
     graph, glogue = g30
-    rows = run_once(benchmark, experiments.engine_comparison_experiment,
-                    graph, query_names=SMOKE_QUERIES, glogue=glogue)
+    with gc_paused():
+        rows = run_once(benchmark, experiments.engine_comparison_experiment,
+                        graph, query_names=SMOKE_QUERIES, glogue=glogue)
     print()
     print(format_table(rows, title="Kernel-layer smoke: row vs vectorized (G30)"))
     assert all(row["rows_match"] for row in rows)
@@ -39,5 +44,5 @@ def test_bench_kernel_layer_keeps_engine_ratio(benchmark, g30):
     print("kernel-layer vectorized/row ratio: %.3f (bound %.2f)"
           % (ratio, RATIO_BOUND))
     assert ratio <= RATIO_BOUND, (
-        "kernel-layer refactor slowed the vectorized engine relative to the "
-        "row engine (ratio %.3f)" % ratio)
+        "vectorized engine slower than the row engine beyond noise "
+        "(ratio %.3f)" % ratio)

@@ -4,7 +4,7 @@ from collections import defaultdict
 
 from repro.bench import experiments, format_table
 
-from bench_utils import run_once
+from bench_utils import gc_paused, run_once
 
 # a representative subset keeps the sweep under a minute per workload while
 # still covering short interactive reads and heavier BI aggregations
@@ -61,7 +61,8 @@ def test_bench_scaling_engines(benchmark, g30, g100):
                 rows.append({"scale": scale, **row})
         return rows
 
-    rows = run_once(benchmark, compare_engines)
+    with gc_paused():
+        rows = run_once(benchmark, compare_engines)
     print()
     print(format_table(rows, title="Engine comparison: row vs vectorized runtimes"))
     assert all(row["rows_match"] for row in rows)
@@ -73,6 +74,7 @@ def test_bench_scaling_engines(benchmark, g30, g100):
     vec_total = sum(r["vectorized_seconds"] for r in completed)
     ratio = vec_total / row_total if row_total else 1.0
     print("total vectorized/row runtime ratio: %.3f" % ratio)
-    # regression guard, not a tight bound: typical measured ratio is ~0.66,
-    # and the slack absorbs timer noise on loaded CI runners
+    # regression guard, not a tight bound: the measured ratio is 0.74-0.78
+    # (GC paused: single <= 40 ms samples, one full collection would decide
+    # the sum), and the slack absorbs timer noise on loaded CI runners
     assert ratio <= 1.25, "vectorized engine slower than row engine (ratio %.3f)" % ratio

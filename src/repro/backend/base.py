@@ -2,21 +2,14 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.backend.runtime.binding import ERef, PRef, VRef
 from repro.backend.runtime.context import CancellationToken, ExecutionContext
-from repro.backend.runtime.dataflow import (
-    execute_dataflow,
-    open_dataflow_stream,
-    recover_on_row_engine,
-)
-from repro.backend.runtime.operators import execute_operator
+from repro.backend.runtime.dataflow import open_dataflow_stream
 from repro.backend.runtime.streaming import stream_result_rows
-from repro.backend.runtime.vectorized import execute_vectorized
-from repro.errors import CancelledError, ExecutionTimeout, GOptError, WorkerFailure
+from repro.errors import CancelledError, ExecutionTimeout, GOptError
 from repro.graph.partition import GraphPartitioner
 from repro.graph.property_graph import PropertyGraph
 from repro.optimizer.physical_plan import PhysicalPlan
@@ -96,12 +89,12 @@ class ExecutionResult:
 class StreamingResult:
     """A lazily produced plan execution: an iterator of rows plus metrics.
 
-    Wraps the streaming interpreter's row generator together with its
-    execution context.  Iteration pulls rows on demand; :meth:`close` stops
-    the execution early (upstream operators never produce the remainder);
-    :meth:`metrics` reports the work actually performed so far.  A budget
-    overrun (:class:`~repro.errors.ExecutionTimeout`) ends the stream and
-    flags ``timed_out`` instead of raising, mirroring ``Backend.execute``.
+    Wraps an engine's row iterator together with its execution context.
+    Iteration pulls rows on demand; :meth:`close` stops the execution early
+    (upstream operators never produce the remainder); :meth:`metrics` reports
+    the work actually performed so far.  A budget overrun
+    (:class:`~repro.errors.ExecutionTimeout`) ends the stream and flags
+    ``timed_out`` instead of raising.
     """
 
     def __init__(self, ctx: ExecutionContext, rows: Iterator[dict], backend: str = ""):
@@ -240,19 +233,21 @@ class Backend:
 
     Every backend can interpret physical plans with any of three engines:
 
-    * ``"row"`` -- the original tuple-at-a-time interpreter
-      (:mod:`repro.backend.runtime.operators`);
-    * ``"vectorized"`` -- the columnar batch interpreter
-      (:mod:`repro.backend.runtime.vectorized`), processing binding tables as
-      column batches in chunks of ``batch_size`` rows;
+    * ``"row"`` -- the tuple-at-a-time pull pipeline of
+      :mod:`repro.backend.runtime.streaming`;
+    * ``"vectorized"`` -- the same module's columnar pipeline, moving
+      binding tables as column batches of ``batch_size`` rows;
     * ``"dataflow"`` -- the partition-parallel runtime
       (:mod:`repro.backend.runtime.dataflow`): per-partition pipelines over
       the graph partitioner's shards, connected by exchange operators and
       executed by ``workers`` threads.
 
-    All engines produce identical rows in identical order and charge the
-    work counters identically (enforced by the differential test suite), so
-    the engine choice only affects wall-clock behavior.
+    Every execution is a stream (:meth:`execute_streaming`);
+    :meth:`execute` drains one.  All engines produce identical rows in
+    identical order, and ``row`` and ``vectorized`` charge the work counters
+    identically (enforced by the differential test suite).  ``dataflow``
+    matches them too, except under a bare ``LIMIT``: it gathers its
+    partitions before the driver-side ``Limit``, so it may charge more.
     """
 
     name = "backend"
@@ -338,7 +333,8 @@ class Backend:
         workers: Optional[int] = None,
         cancel_token: Optional[CancellationToken] = None,
     ) -> ExecutionResult:
-        """Interpret a physical plan, enforcing the time/intermediate budget.
+        """Interpret a physical plan to completion: a drained
+        :meth:`execute_streaming`.
 
         ``engine`` overrides the backend's configured engine for this one
         execution (used by the differential tests and benchmarks); the other
@@ -347,51 +343,18 @@ class Backend:
         session layer).  ``parameters`` binds values for deferred ``$param``
         placeholders in prepared plans.  Plans exceeding the budget return an
         empty result flagged ``timed_out`` (the harness reports them as OT,
-        like the paper).  An infrastructure fault inside the dataflow engine
-        (a worker crash -- not a query error) degrades to a serial row-engine
-        re-execution when ``fallback_on_fault`` is set, flagged in
-        ``metrics.degraded``.
+        like the paper).  The work counters are those of the rows actually
+        pulled, so a plan ending in a bare ``LIMIT`` charges only the prefix
+        it needed.
         """
-        engine = self._resolve_engine(engine)
-        ctx = self._make_context(parameters, timeout_seconds,
-                                 max_intermediate_results, batch_size, workers,
-                                 cancel_token)
-        start = time.perf_counter()
-        timed_out = False
-        rows: List[dict] = []
-        try:
-            if engine == "vectorized":
-                rows = execute_vectorized(plan.root, ctx).to_rows()
-            elif engine == "dataflow":
-                try:
-                    rows = execute_dataflow(plan.root, ctx)
-                except WorkerFailure as failure:
-                    if not self.fallback_on_fault:
-                        raise
-                    rows = recover_on_row_engine(plan.root, ctx, failure)
-            else:
-                rows = execute_operator(plan.root, ctx)
-        except ExecutionTimeout:
-            timed_out = True
-        elapsed = time.perf_counter() - start
-        counters = ctx.counters
-        metrics = ExecutionMetrics(
-            elapsed_seconds=elapsed,
-            intermediate_results=counters.intermediate_results,
-            edges_traversed=counters.edges_traversed,
-            vertices_scanned=counters.vertices_scanned,
-            tuples_shuffled=counters.tuples_shuffled,
-            operators_executed=counters.operators_executed,
-            cells_produced=counters.cells_produced,
-            timed_out=timed_out,
-            degraded=ctx.degraded is not None,
-            degraded_reason=ctx.degraded,
-        )
+        stream = self.execute_streaming(
+            plan, engine, parameters, timeout_seconds, max_intermediate_results,
+            batch_size, workers, cancel_token)
+        rows = list(stream)
         return ExecutionResult(
-            rows=rows, metrics=metrics, backend=self.name,
-            exchange_stats=(ctx.exchange_stats.snapshot()
-                            if ctx.exchange_stats is not None else None),
-            worker_busy=ctx.worker_busy,
+            rows=[] if stream.timed_out else rows, metrics=stream.metrics(),
+            backend=self.name, exchange_stats=stream.exchange_stats,
+            worker_busy=stream.worker_busy,
         )
 
     def execute_streaming(
@@ -407,7 +370,7 @@ class Backend:
     ) -> "StreamingResult":
         """Begin a lazy plan execution, returning a :class:`StreamingResult`.
 
-        Rows are produced on demand by the streaming interpreters
+        Rows are produced on demand by the serial pipelines
         (:mod:`repro.backend.runtime.streaming`): a consumer that stops early
         (``LIMIT``, cursor close) never pays for the rows it does not pull.
         Pipeline breakers execute incrementally -- hash joins stream their
@@ -418,7 +381,10 @@ class Backend:
         are pulled.  The dataflow engine instead starts
         its worker pipelines in the background immediately -- rows become
         available after the final gather, and an early close cancels the
-        in-flight workers and drains their channels.
+        in-flight workers and drains their channels.  An infrastructure
+        fault inside it (a worker crash -- not a query error) degrades to a
+        serial row-engine re-execution when ``fallback_on_fault`` is set,
+        flagged in ``metrics.degraded``.
         """
         engine = self._resolve_engine(engine)
         ctx = self._make_context(parameters, timeout_seconds,

@@ -1,6 +1,7 @@
 """Shared runtime pieces: binding values, execution context and interpreters.
 
-All interpreters are thin adapters over the operator-kernel layer
+The serial pipelines (:mod:`repro.backend.runtime.streaming`) and the
+dataflow runtime are thin adapters over the operator-kernel layer
 (:mod:`repro.backend.runtime.kernels`); importing this package registers
 every engine's kernels with the central registry.
 """
@@ -9,10 +10,12 @@ from repro.backend.runtime import kernels
 from repro.backend.runtime.binding import ERef, PRef, VRef
 from repro.backend.runtime.columnar import MISSING, ColumnBatch, OverlayBinding, RowCursor
 from repro.backend.runtime.context import ExecutionContext
-from repro.backend.runtime.dataflow import execute_dataflow
-from repro.backend.runtime.operators import execute_operator
-from repro.backend.runtime.streaming import stream_batches, stream_result_rows, stream_rows
-from repro.backend.runtime.vectorized import execute_vectorized
+from repro.backend.runtime.streaming import (
+    execute_operator,
+    stream_batches,
+    stream_result_rows,
+    stream_rows,
+)
 
 __all__ = [
     "VRef",
@@ -20,8 +23,6 @@ __all__ = [
     "PRef",
     "ExecutionContext",
     "execute_operator",
-    "execute_vectorized",
-    "execute_dataflow",
     "kernels",
     "stream_batches",
     "stream_result_rows",

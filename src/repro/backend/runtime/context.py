@@ -19,7 +19,7 @@ class CancellationToken:
 
     The token travels on the :class:`ExecutionContext` (worker forks share
     their parent's token) and is probed at every deadline checkpoint, i.e.
-    at kernel-batch granularity in all four engines.  ``cancel()`` can be
+    at kernel-batch granularity in every engine.  ``cancel()`` can be
     called from any thread -- a client closing its cursor, the executor
     shutting down -- and the next checkpoint raises
     :class:`~repro.errors.CancelledError`, unwinding the execution and
@@ -96,6 +96,8 @@ class ExecutionContext:
         workers: int = 1,
         cancel_token: Optional[CancellationToken] = None,
     ):
+        if batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         self.graph = graph
         self.partitioner = partitioner
         self.counters = WorkCounters()
@@ -120,9 +122,10 @@ class ExecutionContext:
         # observable proof that incremental breakers are bounded-memory
         self.peak_held_rows = 0
         # ids of plan operators referenced by more than one parent
-        # (ComSubPattern); the streaming dispatchers materialize these once
-        # through the operator cache instead of streaming them per parent.
-        # Populated from the plan root by ``stream_result_rows``.
+        # (ComSubPattern); the serial pipelines drain these once into the
+        # operator cache instead of streaming them per parent.  Populated
+        # from the plan root by ``stream_result_rows`` (and from the subtree
+        # it is entered at by ``execute_operator``).
         self.shared_op_ids = frozenset()
         # optional cancellation probe, called wherever the deadline is
         # checked; the dataflow engine uses it so an early cursor close

@@ -28,7 +28,6 @@ from repro.backend.runtime.dataflow.runtime import (
     BROADCAST_THRESHOLD,
     DataflowExecutor,
     DataflowRowStream,
-    execute_dataflow,
     open_dataflow_stream,
     recover_on_row_engine,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "SegmentPlan",
     "StepSpec",
     "build_pipelines",
-    "execute_dataflow",
     "extract_segment",
     "morselize",
     "open_dataflow_stream",

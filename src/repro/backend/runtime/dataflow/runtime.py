@@ -12,7 +12,7 @@ dataflow engine (GraphScope/Gaia) would, inside one process:
   (consumers drain before stalled producers retry, which makes the bounded
   channels deadlock-free with fewer threads than pipeline actors);
 * pipeline breakers (Sort, Aggregate, HashJoin, Limit, Dedup, Union) run at
-  the driver through the serial row-engine handlers over gathered rows, so
+  the driver through the row pipeline's handlers over gathered rows, so
   their results -- and their simulated communication charges -- are
   identical to the row engine's;
 * small build sides of inner hash joins are broadcast to the partitions and
@@ -53,7 +53,7 @@ from repro.backend.runtime.dataflow.plan import (
 from repro.backend.runtime.dataflow.steps import charge_outputs
 from repro.backend.runtime.kernels import registry
 from repro.backend.runtime.kernels.common import Row, merge_rows
-from repro.backend.runtime.operators import execute_operator
+from repro.backend.runtime.streaming import execute_operator
 from repro.errors import CancelledError, ExecutionTimeout, GOptError, WorkerFailure
 from repro.graph.partition import GraphPartitioner
 from repro.optimizer.physical_plan import HashJoin, PhysicalOperator
@@ -618,11 +618,6 @@ class DataflowExecutor:
         if self._error is not None:
             error, self._error = self._error, None
             raise self._wrap_failure(error)
-
-
-def execute_dataflow(root: PhysicalOperator, ctx: ExecutionContext) -> List[Row]:
-    """Execute a physical plan on the partition-parallel dataflow runtime."""
-    return DataflowExecutor(ctx).run(root)
 
 
 def recover_on_row_engine(root: PhysicalOperator, ctx: ExecutionContext,

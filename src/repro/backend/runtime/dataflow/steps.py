@@ -15,7 +15,7 @@ Two deliberate differences from the serial drivers:
   count equals the simulated one because a row is always co-located with
   the expansion's anchor when the kernel runs);
 * steps charge intermediates and cells per processed chunk instead of per
-  whole operator, so the shared budget sees overruns early.  The totals are
+  row, so the shared budget is hit once per chunk.  The totals are
   identical.
 
 Pipeline breakers (Sort, Aggregate, HashJoin, Limit, Dedup, Union) are

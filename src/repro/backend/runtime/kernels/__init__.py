@@ -6,9 +6,9 @@ Layer stack::
                                         |
                                   kernel layer (this package)
                                         |
-          +----------------+------------+--------------+----------------+
-          | row adapter    | vectorized | streaming    | dataflow       |
-          | (operators.py) | (batches)  | (generators) | (partitions)   |
+          +-----------------+-------------------+----------------+
+          | row pipeline    | batch pipeline    | dataflow       |
+          | (streaming.py)  | (streaming.py)    | (partitions)   |
 
 * :mod:`~repro.backend.runtime.kernels.common` -- shared value semantics
   (matching, property retrieval, sort/dedup/merge keys, plan sharing);
@@ -17,8 +17,8 @@ Layer stack::
 * :mod:`~repro.backend.runtime.kernels.sinks` -- the RowSink/BatchSink
   emission implementations the serial adapters share;
 * :mod:`~repro.backend.runtime.kernels.state` -- stateful kernels for the
-  pipeline breakers (dedup, sort/top-k, aggregation, hash join), shared by
-  the materializing and the incremental streaming drivers;
+  pipeline breakers (dedup, sort/top-k, aggregation, hash join), fed
+  incrementally by both serial pipelines;
 * :mod:`~repro.backend.runtime.kernels.registry` -- the (mode, operator) ->
   kernel registry every engine dispatches through, with declared fallbacks
   and a completeness check.
@@ -42,8 +42,6 @@ from repro.backend.runtime.kernels.state import (
     DistinctState,
     HashJoinState,
     TopKState,
-    aggregate_rows,
-    hash_join_rows,
     sort_permutation,
 )
 
@@ -53,10 +51,8 @@ __all__ = [
     "HashJoinState",
     "Row",
     "TopKState",
-    "aggregate_rows",
     "common",
     "edge_matches",
-    "hash_join_rows",
     "hashable",
     "merge_rows",
     "plan_refcounts",

@@ -15,10 +15,8 @@ semantics every execution engine must agree on:
 * :func:`plan_refcounts` / :func:`shared_subtree_ids` -- plan-sharing
   analysis (ComSubPattern subtrees that must materialize exactly once).
 
-Before the kernel layer existed, each of the five interpreters (row,
-vectorized, both streaming pipelines, dataflow workers) carried its own copy
-of these helpers; any engine-specific representation concern is now handled
-by the thin adapters in the interpreter modules instead.
+Every engine shares these helpers; any engine-specific representation
+concern is handled by the thin adapters in the interpreter modules instead.
 """
 
 from __future__ import annotations
@@ -176,7 +174,7 @@ def shared_subtree_ids(root) -> Set[int]:
     """ids of operators referenced by more than one parent.
 
     A shared subtree (the ComSubPattern rewrite) must execute exactly once
-    per plan run; the streaming dispatchers materialize such nodes through
-    the operator cache instead of streaming them twice.
+    per plan run; the serial pipelines drain such nodes once into the
+    operator cache instead of streaming them twice.
     """
     return {op_id for op_id, count in plan_refcounts(root).items() if count > 1}

@@ -5,7 +5,7 @@ and dispatches through :func:`kernel_for`, so the set of operators an engine
 supports is declared data, not an implementation detail buried in a module-
 private dict.  An operator an engine cannot (or deliberately does not)
 execute itself must declare an explicit *fallback* with a reason -- e.g. the
-dataflow engine runs pipeline breakers at the driver through the row engine.
+dataflow engine runs pipeline breakers at the driver through the row pipeline.
 
 The completeness contract is enforced by tests: for every concrete
 :class:`~repro.optimizer.physical_plan.PhysicalOperator` subclass and every
@@ -19,15 +19,14 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple, Type
 
-#: the execution modes engines register kernels under
-MODE_ROW = "row"
-MODE_VECTORIZED = "vectorized"
-MODE_STREAM_ROWS = "stream_rows"
-MODE_STREAM_BATCHES = "stream_batches"
+#: the execution modes engines register kernels under: one per engine in
+#: ``repro.backend.ENGINES``, named after it (the two serial engines are the
+#: row and the batch pipeline of :mod:`repro.backend.runtime.streaming`)
+MODE_STREAM_ROWS = "row"
+MODE_STREAM_BATCHES = "vectorized"
 MODE_DATAFLOW = "dataflow"
 
-MODES = (MODE_ROW, MODE_VECTORIZED, MODE_STREAM_ROWS, MODE_STREAM_BATCHES,
-         MODE_DATAFLOW)
+MODES = (MODE_STREAM_ROWS, MODE_STREAM_BATCHES, MODE_DATAFLOW)
 
 _KERNELS: Dict[str, Dict[type, Callable]] = {mode: {} for mode in MODES}
 _FALLBACKS: Dict[str, Dict[type, str]] = {mode: {} for mode in MODES}
@@ -94,9 +93,7 @@ def missing_registrations() -> List[Tuple[str, str]]:
     here explicitly.
     """
     import repro.backend.runtime.dataflow.steps  # noqa: F401
-    import repro.backend.runtime.operators  # noqa: F401
     import repro.backend.runtime.streaming  # noqa: F401
-    import repro.backend.runtime.vectorized  # noqa: F401
 
     missing: List[Tuple[str, str]] = []
     for mode in MODES:

@@ -16,9 +16,8 @@ Kernels charge the *semantic* work counters inline -- vertices scanned,
 edges traversed, property-retrieval cells, simulated shuffles, path-frontier
 intermediates, deadline checks -- exactly once per unit of work, so every
 adapter observes identical counter totals on a full drain.  Output-level
-charges (intermediate rows, produced cells) are the adapters' concern: bulk
-for the materializing engines, per row/batch for the streaming ones, per
-chunk for dataflow workers.
+charges (intermediate rows, produced cells) are the adapters' concern: per
+row or batch for the serial pipelines, per chunk for dataflow workers.
 
 The dataflow engine runs these same kernels in worker forks whose
 ``simulate_shuffles`` flag is off: the exchange that physically routes the

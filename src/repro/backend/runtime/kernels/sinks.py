@@ -4,8 +4,7 @@ A kernel emits either the input row extended with a delta (``emit``) or a
 brand-new row (``emit_row``); these two sinks translate those emissions into
 the engines' representations:
 
-* :class:`RowListSink` -- dict rows appended to a list.  The materializing
-  row engine and dataflow drivers read ``rows`` in bulk; the streaming row
+* :class:`RowListSink` -- dict rows appended to a list, which the row
   pipeline :meth:`drain`\\ s after each input row to yield lazily.
 * :class:`BatchSink` -- columnar accumulation: ``emit`` records the current
   input index in a selection (carried columns are gathered once per batch)

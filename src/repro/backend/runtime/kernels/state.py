@@ -1,30 +1,28 @@
 """Stateful operator kernels: dedup, sort, top-k, aggregation, hash join.
 
 These are the single semantic implementations of the pipeline-breaking (and
-otherwise stateful) operators, written so that *both* the materializing and
-the incremental/streaming engines drive the same code:
+otherwise stateful) operators, fed incrementally by the row and the batch
+pipeline alike:
 
 * :class:`DistinctState` -- admit-or-drop filtering for Dedup and
   ``Union distinct`` (whole-row or per-tag keys);
 * :func:`sort_permutation` -- the stable multi-key order of Sort as an index
-  permutation (materializing engines apply it to rows or gather columns);
+  permutation;
 * :class:`TopKState` -- bounded-memory ``ORDER BY .. LIMIT k``: a max-heap of
   the k best rows whose tie-break on arrival order reproduces the stable
   full sort's first k rows exactly;
 * :class:`AggregateState` -- incremental per-group accumulators (running
   count/sum/min/max, distinct sets, collect lists) that emit on upstream
-  exhaustion; :func:`aggregate_rows` is the materializing driver;
+  exhaustion;
 * :class:`HashJoinState` -- hash join with the left side consumed up front
   and the right side fed one row at a time.  The build side is the smaller
-  side, like the row engine: right rows are buffered only until they
-  outnumber the left side (then left becomes the build table and the
-  buffered rows are probed through), or until the right side is exhausted
-  first (then the smaller right side becomes the build table);
-  :func:`hash_join_rows` is the materializing driver.
+  side: right rows are buffered only until they outnumber the left side
+  (then left becomes the build table and the buffered rows are probed
+  through), or until the right side is exhausted first (then the smaller
+  right side becomes the build table).
 
 Every state charges the semantic counters (simulated shuffles, local/global
-aggregation traffic) at the same points the materializing row engine does,
-and reports its buffered-row high-water mark to
+aggregation traffic) and reports its buffered-row high-water mark to
 ``ctx.note_held_rows`` so bounded-memory behavior is observable in tests.
 """
 
@@ -263,30 +261,20 @@ class AggregateState:
         return rows
 
 
-def aggregate_rows(op, ctx, bindings) -> List[Row]:
-    """Materializing aggregation: the incremental state driven eagerly."""
-    state = AggregateState(op, ctx)
-    for binding in bindings:
-        state.add(binding)
-    return state.finish()
-
-
 # -- hash join ---------------------------------------------------------------------
 
 class HashJoinState:
     """Hash join fed the left side up front and the right side row by row.
 
-    The row engine builds its hash table on the smaller input (ties go to
-    the left).  Fed incrementally, the decision is made as soon as it is
-    forced: right rows are buffered until they reach the left side's size
+    The hash table is built on the smaller input (ties go to the left).
+    Fed incrementally, the decision is made as soon as it is forced: right rows are buffered until they reach the left side's size
     (left is then no larger than right, so left becomes the build table and
     the buffer is probed through in order) or until the right side runs out
     first (right is then strictly smaller and becomes the build table, with
-    every emission happening in :meth:`finish`).  Output rows, row order and
-    counter charges are identical to the materializing implementation.
+    every emission happening in :meth:`finish`).
 
-    Memory: the left side is always held in full (the row engine's build
-    choice needs its size, and left-outer extras need its rows), plus at
+    Memory: the left side is always held in full (the build choice needs
+    its size, and left-outer extras need its rows), plus at
     most that many buffered right rows -- peak held rows are bounded by
     twice the *left input's* size while the right side streams unbounded,
     and the join result itself is never materialized.
@@ -323,8 +311,7 @@ class HashJoinState:
             self.buffer.append(row)
             self._note_held()
             if len(self.buffer) >= len(self.left):
-                # right is now at least as large as left: build on left,
-                # exactly where the row engine would put the build side
+                # right is now at least as large as left: build on left
                 self._build_on_left()
                 buffered, self.buffer = self.buffer, None
                 out: List[Row] = []
@@ -384,24 +371,11 @@ class HashJoinState:
         self.ctx.note_held_rows(held)
 
 
-def hash_join_rows(op, ctx, left_rows: List[Row], right_rows) -> List[Row]:
-    """Materializing hash join: the incremental state driven eagerly."""
-    state = HashJoinState(op, ctx)
-    state.start(left_rows)
-    out: List[Row] = []
-    for row in right_rows:
-        out.extend(state.feed(row))
-    out.extend(state.finish())
-    return out
-
-
 __all__ = [
     "AggregateState",
     "DistinctState",
     "HashJoinState",
     "TopKState",
-    "aggregate_rows",
-    "hash_join_rows",
     "hashable",
     "sort_permutation",
 ]

@@ -1,20 +1,15 @@
-"""Streaming (generator-based) interpreters for physical plans.
+"""The serial interpreter: generator pipelines over the operator kernels.
 
-Where the materializing interpreters (:mod:`repro.backend.runtime.operators`
-and :mod:`repro.backend.runtime.vectorized`) build every operator's full
-binding table before its parent runs, the streaming interpreters pull results
-through the plan *on demand*:
+Results are pulled through a physical plan *on demand*; there is one
+pipeline per serial engine:
 
-* :func:`stream_rows` is the row engine's pull pipeline -- each operator is
-  a generator yielding dict rows one at a time;
-* :func:`stream_batches` is the vectorized engine's pull pipeline -- each
-  operator yields :class:`ColumnBatch` chunks whose size follows
-  ``ctx.batch_size``.
+* :func:`stream_rows` is the ``row`` engine -- each operator is a generator
+  yielding dict rows one at a time;
+* :func:`stream_batches` is the ``vectorized`` engine -- each operator
+  yields :class:`ColumnBatch` chunks of ``ctx.batch_size`` rows.
 
-Both pipelines drive the same operator kernels as the materializing engines
-(:mod:`repro.backend.runtime.kernels`), and since the kernel refactor even
-the pipeline breakers execute *incrementally* instead of materializing whole
-subtrees:
+Both drive the operator kernels of :mod:`repro.backend.runtime.kernels`, and
+the pipeline breakers execute *incrementally*:
 
 * **HashJoin** consumes the left side, then streams the right side through
   the build table row by row (buffering right rows only until the smaller
@@ -28,25 +23,25 @@ subtrees:
 * **ExpandIntersect** and **PathExpand** stream per input row like every
   other expansion.
 
-Only subtrees shared between two plan branches (the ComSubPattern rewrite)
-are still materialized -- through the per-context operator cache, exactly
-once -- because streaming them per parent would execute them twice.
-
-The serving layer relies on two properties, enforced by the differential
-suite:
+A whole table is built only where one is needed: a subtree shared between
+two plan branches (the ComSubPattern rewrite) is drained once into the
+per-context operator cache and replayed to its second parent, and the
+dataflow driver drains its pipeline breakers the same way
+(:func:`execute_operator`).  ``Backend.execute`` is a full drain of the same
+pipelines, so every consumer sees the two properties the differential suite
+enforces:
 
 * **bounded memory / early exit** -- a ``LIMIT k`` stops pulling after ``k``
   rows and breaker states hold only what they must (observable via
-  ``ctx.peak_held_rows``), so the full result set is never materialized and
-  the work counters record only the work actually performed;
-* **row and counter parity on full consumption** -- a fully drained stream
-  yields exactly the materializing engines' rows in order and charges
-  identical counters (minus early-exit savings).
+  ``ctx.peak_held_rows``), so the work counters record only the work
+  actually performed;
+* **engine parity** -- ``row`` and ``vectorized`` yield the same rows in the
+  same order and charge identical counters.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
+from typing import Iterator, List
 
 from repro.backend.runtime.columnar import ColumnBatch
 from repro.backend.runtime.context import ExecutionContext
@@ -60,8 +55,7 @@ from repro.backend.runtime.kernels.state import (
     TopKState,
     sort_permutation,
 )
-from repro.backend.runtime.operators import execute_operator
-from repro.backend.runtime.vectorized import execute_vectorized
+from repro.errors import ExecutionError
 from repro.gir.expressions import TagRef
 from repro.testing.faults import fault_point
 from repro.optimizer.physical_plan import (
@@ -83,6 +77,13 @@ from repro.optimizer.physical_plan import (
 )
 
 
+def _kernel(mode: str, op: PhysicalOperator):
+    handler = registry.kernel_for(mode, type(op))
+    if handler is None:
+        raise ExecutionError("no %s kernel for physical operator %r" % (mode, op.name))
+    return handler
+
+
 # -- row-engine streaming ----------------------------------------------------------
 
 
@@ -90,34 +91,52 @@ def stream_rows(op: PhysicalOperator, ctx: ExecutionContext) -> Iterator[Row]:
     """Lazily produce the binding table of ``op`` row by row.
 
     Operators charge the work counters incrementally (one intermediate
-    result and ``len(row)`` cells per yielded row); shared subtrees
-    materialize once through the operator cache, charging in bulk exactly
-    as the materializing engine does.
+    result and ``len(row)`` cells per yielded row).  A subtree with two
+    parents is drained once into the operator cache; rows replayed from
+    the cache are already paid for.
     """
     cached = ctx.cached_result(id(op))
-    if cached is not None:
-        # subtree already materialized in this execution: replay, cost
-        # charged; replayed rows tick so long replays stay interruptible
-        for row in cached:
-            ctx.tick()
-            yield row
-        return
-    if id(op) in ctx.shared_op_ids:
-        # shared subtree (ComSubPattern): materialize once into the operator
-        # cache; the second parent replays it instead of re-executing
-        yield from execute_operator(op, ctx)
-        return
-    handler = registry.kernel_for(registry.MODE_STREAM_ROWS, type(op))
-    if handler is None:
-        # declared fallback: materialize the subtree with the row engine
-        yield from execute_operator(op, ctx)
-        return
+    if cached is None and id(op) in ctx.shared_op_ids:
+        cached = execute_operator(op, ctx)
+    if cached is None:
+        return _run_rows(op, ctx)
+    return _replay_rows(cached, ctx)
+
+
+def _run_rows(op: PhysicalOperator, ctx: ExecutionContext) -> Iterator[Row]:
+    handler = _kernel(registry.MODE_STREAM_ROWS, op)
     fault_point("stream.kernel", op=type(op).__name__)
     ctx.counters.operators_executed += 1
     for row in handler(op, ctx):
         ctx.charge_intermediate(1)
+        # the "width" of intermediate results matters for FieldTrim: carrying
+        # fewer tags/columns through shuffles and aggregation is cheaper
         ctx.counters.cells_produced += len(row)
         yield row
+
+
+def _replay_rows(rows: List[Row], ctx: ExecutionContext) -> Iterator[Row]:
+    for row in rows:
+        ctx.tick()  # long replays stay interruptible
+        yield row
+
+
+def execute_operator(op: PhysicalOperator, ctx: ExecutionContext) -> List[Row]:
+    """The whole binding table of ``op``: its row stream drained into the
+    per-context operator cache, so a second request replays it.
+
+    For the callers that need a table rather than a stream -- the second
+    parent of a shared subtree, a dataflow driver-side pipeline breaker
+    (whose children are already cached) and the serial recovery run.
+    """
+    rows = ctx.cached_result(id(op))
+    if rows is None:
+        # callers may enter at any subtree: sharing below ``op`` must be
+        # known before it streams, or a shared child would execute twice
+        ctx.shared_op_ids = ctx.shared_op_ids | shared_subtree_ids(op)
+        rows = list(_run_rows(op, ctx))
+        ctx.cache_result(id(op), rows, op)
+    return rows
 
 
 def _stream_child(op: PhysicalOperator, ctx: ExecutionContext, index: int = 0) -> Iterator[Row]:
@@ -237,27 +256,21 @@ registry.register_kernel(registry.MODE_STREAM_ROWS, HashJoin, _stream_hash_join)
 def stream_batches(op: PhysicalOperator, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
     """Lazily produce the binding table of ``op`` as column batches.
 
-    The streaming twin of :func:`~repro.backend.runtime.vectorized.execute_vectorized`:
-    operators transform input batches into output batches and charge
-    counters per emitted batch; shared subtrees materialize once via the
-    vectorized engine and replay as a single batch.
+    Operators transform input batches into output batches and charge
+    counters per emitted batch; a subtree with two parents is drained once
+    into the operator cache and replays as a single batch.
     """
     cached = ctx.cached_result(id(op))
-    if cached is not None:
-        if cached.num_rows:
-            yield cached
-        return
-    if id(op) in ctx.shared_op_ids:
-        batch = execute_vectorized(op, ctx)
-        if batch.num_rows:
-            yield batch
-        return
-    handler = registry.kernel_for(registry.MODE_STREAM_BATCHES, type(op))
-    if handler is None:
-        batch = execute_vectorized(op, ctx)
-        if batch.num_rows:
-            yield batch
-        return
+    if cached is None:
+        if id(op) not in ctx.shared_op_ids:
+            return _run_batches(op, ctx)
+        cached = ColumnBatch.concat(_run_batches(op, ctx))
+        ctx.cache_result(id(op), cached, op)
+    return iter((cached,) if cached.num_rows else ())
+
+
+def _run_batches(op: PhysicalOperator, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
+    handler = _kernel(registry.MODE_STREAM_BATCHES, op)
     fault_point("stream.kernel", op=type(op).__name__)
     ctx.counters.operators_executed += 1
     for batch in handler(op, ctx):
@@ -272,15 +285,10 @@ def _batch_child(op: PhysicalOperator, ctx: ExecutionContext, index: int = 0) ->
     return stream_batches(op.inputs[index], ctx)
 
 
-def _flush_size(ctx: ExecutionContext) -> int:
-    return ctx.batch_size if ctx.batch_size > 0 else 1024
-
-
 def _rebatch(rows: List[Row], ctx: ExecutionContext) -> Iterator[ColumnBatch]:
     """Pivot breaker-state output rows back into batch_size column chunks."""
-    size = _flush_size(ctx)
-    for start in range(0, len(rows), size):
-        yield ColumnBatch.from_rows(rows[start:start + size])
+    for start in range(0, len(rows), ctx.batch_size):
+        yield ColumnBatch.from_rows(rows[start:start + ctx.batch_size])
 
 
 def _batch_scan(op: ScanVertex, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
@@ -288,10 +296,9 @@ def _batch_scan(op: ScanVertex, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
         return
     process = rowwise.scan_vertex(op, ctx)
     sink = BatchSink()
-    flush_at = _flush_size(ctx)
     for vid in ctx.graph.vertices_of_type(op.constraint):
         process(vid, sink)
-        if sink.computed_rows >= flush_at:
+        if sink.computed_rows >= ctx.batch_size:
             yield sink.drain_computed()
     if sink.computed_rows:
         yield sink.drain_computed()
@@ -316,7 +323,9 @@ def _batch_rowwise(factory):
 
 def _batch_project(op: Project, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
     if not op.append and all(isinstance(item.expr, TagRef) for item in op.items):
-        # representational fast path, same as the materializing engine
+        # representational fast path: a pure column selection never touches
+        # individual rows; semantically identical to the kernel's per-row
+        # ``row.get`` (an absent tag surfaces as a present None cell)
         for child in _batch_child(op, ctx):
             columns = {item.alias: normalized_column(child, item.expr.tag)
                        for item in op.items}
@@ -430,9 +439,9 @@ registry.register_kernel(registry.MODE_STREAM_BATCHES, HashJoin, _batch_hash_joi
 
 def stream_result_rows(op: PhysicalOperator, ctx: ExecutionContext,
                        engine: str) -> Iterator[Row]:
-    """Rows of ``op`` as produced by the streaming pipeline of ``engine``."""
-    # subtrees with more than one parent must materialize exactly once (the
-    # streaming dispatchers route them through the operator cache)
+    """Rows of the plan rooted at ``op`` from the pipeline of serial ``engine``."""
+    # subtrees with more than one parent must execute exactly once (the
+    # dispatchers route them through the operator cache)
     ctx.shared_op_ids = shared_subtree_ids(op)
     if engine == "vectorized":
         for batch in stream_batches(op, ctx):

@@ -292,7 +292,7 @@ class ServerApp:
         session, ephemeral = self._session_for(entry, engine, deadline)
         try:
             if payload.get("cursor"):
-                cursor = session.run(query, language, parameters, stream=True)
+                cursor = session.run(query, language, parameters)
                 if entry is None:
                     # a cursor must outlive this request: give it a registry
                     # session to own it (and be TTL-swept through)
@@ -319,7 +319,7 @@ class ServerApp:
         with self._active_lock:
             self._active_tokens.add(token)
         try:
-            cursor = session.run(query, language, parameters, stream=True,
+            cursor = session.run(query, language, parameters,
                                  cancel_token=token)
             if max_rows is None:
                 rows = cursor.fetch_all()

@@ -24,7 +24,9 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
+from repro.errors import GOptError
 from repro.server.app import Response, ServerApp
+from repro.server.protocol import error_to_wire
 
 
 class _RequestHandler(BaseHTTPRequestHandler):
@@ -54,7 +56,18 @@ class _RequestHandler(BaseHTTPRequestHandler):
         split = urlsplit(self.path)
         params = {key: values[-1]
                   for key, values in parse_qs(split.query).items()}
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+            if length < 0:
+                raise ValueError(length)
+        except ValueError:
+            # the body's extent is unknown (and read(-1) would block until
+            # the client hangs up), so answer and give the connection up
+            error = error_to_wire(GOptError(
+                "Content-Length must be a non-negative integer"))
+            self._write(Response.json(error.to_dict(), status=error.status,
+                                      headers={"Connection": "close"}))
+            return
         body = self.rfile.read(length) if length else b""
         response = self.server.app.handle_request(  # type: ignore[attr-defined]
             method, split.path, params, dict(self.headers.items()), body)

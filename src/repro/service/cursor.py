@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
-from repro.backend.base import ExecutionMetrics, ExecutionResult, StreamingResult
+from repro.backend.base import ExecutionMetrics, StreamingResult
 from repro.errors import GOptError
 from repro.optimizer.planner import OptimizationReport
 
@@ -19,9 +19,7 @@ class ResultCursor:
     pull.  Pipeline breakers (joins, aggregations, top-k sorts) execute
     incrementally rather than materializing their subtrees, so even
     breaker-heavy queries stream in bounded memory
-    (:attr:`peak_held_rows`).  A cursor can also wrap an already-materialized
-    :class:`~repro.backend.ExecutionResult` (``Session.run(..., stream=False)``),
-    which keeps the same interface with eager semantics.
+    (:attr:`peak_held_rows`).
 
     Typical use::
 
@@ -33,20 +31,13 @@ class ResultCursor:
 
     def __init__(
         self,
-        source,
+        stream: StreamingResult,
         report: Optional[OptimizationReport] = None,
     ):
         self._report = report
         self._closed = False
         self._close_lock = threading.Lock()
-        if isinstance(source, ExecutionResult):
-            self._stream: Optional[StreamingResult] = None
-            self._materialized: Optional[ExecutionResult] = source
-            self._iter: Iterator[dict] = iter(source.rows)
-        else:
-            self._stream = source
-            self._materialized = None
-            self._iter = iter(source)
+        self._stream = stream
 
     # -- iteration --------------------------------------------------------------
     def __iter__(self) -> "ResultCursor":
@@ -55,7 +46,7 @@ class ResultCursor:
     def __next__(self) -> Dict[str, object]:
         if self._closed:
             raise StopIteration
-        return next(self._iter)
+        return next(self._stream)
 
     def fetch_one(self) -> Optional[Dict[str, object]]:
         """The next row, or ``None`` when the result is exhausted."""
@@ -94,8 +85,7 @@ class ResultCursor:
             if self._closed:
                 return
             self._closed = True
-        if self._stream is not None:
-            self._stream.close()
+        self._stream.close()
 
     @property
     def closed(self) -> bool:
@@ -106,8 +96,8 @@ class ResultCursor:
     def consume(self) -> ExecutionMetrics:
         """Discard any remaining rows and return the execution's metrics.
 
-        For a streaming cursor the metrics reflect only the work actually
-        performed up to this point -- an early ``consume()`` after a few
+        The metrics reflect only the work actually performed up to this
+        point -- an early ``consume()`` after a few
         ``fetch_many`` calls reports the cost of those rows, not of the full
         result set.
         """
@@ -116,9 +106,7 @@ class ResultCursor:
 
     def metrics(self) -> ExecutionMetrics:
         """Work/time measurements of the execution so far (without closing)."""
-        if self._stream is not None:
-            return self._stream.metrics()
-        return self._materialized.metrics
+        return self._stream.metrics()
 
     @property
     def exchange_stats(self) -> Optional[Dict[str, int]]:
@@ -129,31 +117,23 @@ class ResultCursor:
         ``gathered``) -- the measured counterpart of the simulated
         ``tuples_shuffled`` work counter.
         """
-        if self._stream is not None:
-            return self._stream.exchange_stats
-        return self._materialized.exchange_stats
+        return self._stream.exchange_stats
 
     @property
     def worker_busy(self) -> Optional[List[float]]:
         """Per-worker busy CPU seconds (dataflow engine; ``None`` otherwise)."""
-        if self._stream is not None:
-            return self._stream.worker_busy
-        return self._materialized.worker_busy
+        return self._stream.worker_busy
 
     @property
-    def peak_held_rows(self) -> Optional[int]:
-        """Most rows any streaming pipeline breaker buffered at once.
+    def peak_held_rows(self) -> int:
+        """Most rows any pipeline breaker buffered at once.
 
         Top-k sorts hold at most ``k`` rows, hash joins their left (build)
         input while the right side streams, aggregations one entry per
         group -- this is the observable bound on the cursor's memory
-        footprint beyond plain row delivery.  ``None`` for materialized
-        (``stream=False``) cursors, where the whole result was built eagerly
-        anyway.
+        footprint beyond plain row delivery.
         """
-        if self._stream is not None:
-            return self._stream.peak_held_rows
-        return None
+        return self._stream.peak_held_rows
 
     # -- metadata ---------------------------------------------------------------
     @property
@@ -164,15 +144,11 @@ class ResultCursor:
     @property
     def timed_out(self) -> bool:
         """Whether the execution hit its time/intermediate budget."""
-        if self._stream is not None:
-            return self._stream.timed_out
-        return self._materialized.timed_out
+        return self._stream.timed_out
 
     @property
     def backend(self) -> str:
-        if self._stream is not None:
-            return self._stream.backend
-        return self._materialized.backend
+        return self._stream.backend
 
     def __enter__(self) -> "ResultCursor":
         return self

@@ -103,7 +103,6 @@ class ConcurrentExecutor:
         max_workers: int = 8,
         deadline_seconds=_UNSET,
         engine: Optional[str] = None,
-        stream: bool = True,
         max_queue_depth: Optional[int] = None,
         queue_timeout_seconds: Optional[float] = None,
         per_client_limit: Optional[int] = None,
@@ -118,7 +117,6 @@ class ConcurrentExecutor:
         self._service = service
         self._deadline_seconds = deadline_seconds
         self._engine = engine
-        self._stream = stream
         self._max_retries = max_retries
         self._retry_backoff = retry_backoff_seconds
         if admission is not None:
@@ -240,8 +238,7 @@ class ConcurrentExecutor:
                     timeout_seconds=self._deadline_seconds,
                 ) as session:
                     cursor = session.run(request.query, request.language,
-                                         request.parameters, stream=self._stream,
-                                         cancel_token=token)
+                                         request.parameters, cancel_token=token)
                     rows = cursor.fetch_all()
                     metrics = cursor.consume()
                     return QueryOutcome(request=request, rows=rows,

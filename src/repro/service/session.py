@@ -104,16 +104,14 @@ class Session:
         query: Union[str, LogicalPlan],
         language: str = "cypher",
         parameters: Optional[Dict[str, object]] = None,
-        stream: bool = True,
         cancel_token=None,
     ) -> ResultCursor:
         """Execute a query, returning a lazy :class:`ResultCursor`.
 
         Text queries with ``parameters`` go through the prepared-statement
-        machinery, so repeated templates share one type-keyed plan.  With
-        ``stream=True`` (the default) rows are produced on demand by the
-        streaming interpreters; ``stream=False`` materializes eagerly (the
-        cursor interface is identical).  A caller-supplied
+        machinery, so repeated templates share one type-keyed plan.  Rows
+        are produced on demand; ``fetch_all()`` on the cursor gives the
+        whole result.  A caller-supplied
         :class:`~repro.backend.runtime.context.CancellationToken` lets
         another thread (a serving layer, a shutdown path) stop the
         execution cooperatively at its next kernel-batch checkpoint.
@@ -121,12 +119,12 @@ class Session:
         self._check_open()
         if isinstance(query, LogicalPlan):
             report = self._service.optimizer.optimize(query)
-            return self._execute_report(report, None, stream, cancel_token)
+            return self._execute_report(report, None, cancel_token)
         if parameters:
             return self.prepare(query, language).run(
-                parameters, stream=stream, cancel_token=cancel_token)
+                parameters, cancel_token=cancel_token)
         report = self._service.optimize(query, language, None, engine=self.engine)
-        return self._execute_report(report, None, stream, cancel_token)
+        return self._execute_report(report, None, cancel_token)
 
     def explain(
         self,
@@ -146,33 +144,19 @@ class Session:
         self,
         report: OptimizationReport,
         parameters: Optional[Dict[str, object]],
-        stream: bool,
         cancel_token=None,
     ) -> ResultCursor:
-        backend = self._service.backend
-        if stream:
-            source = backend.execute_streaming(
-                report.physical_plan,
-                engine=self._engine,
-                parameters=parameters,
-                timeout_seconds=self._timeout_seconds,
-                max_intermediate_results=self._max_intermediate_results,
-                batch_size=self._batch_size,
-                workers=self._workers,
-                cancel_token=cancel_token,
-            )
-        else:
-            source = backend.execute(
-                report.physical_plan,
-                engine=self._engine,
-                parameters=parameters,
-                timeout_seconds=self._timeout_seconds,
-                max_intermediate_results=self._max_intermediate_results,
-                batch_size=self._batch_size,
-                workers=self._workers,
-                cancel_token=cancel_token,
-            )
-        return ResultCursor(source, report=report)
+        stream = self._service.backend.execute_streaming(
+            report.physical_plan,
+            engine=self._engine,
+            parameters=parameters,
+            timeout_seconds=self._timeout_seconds,
+            max_intermediate_results=self._max_intermediate_results,
+            batch_size=self._batch_size,
+            workers=self._workers,
+            cancel_token=cancel_token,
+        )
+        return ResultCursor(stream, report=report)
 
 
 class PreparedQuery:
@@ -233,7 +217,6 @@ class PreparedQuery:
     def run(
         self,
         parameters: Optional[Dict[str, object]] = None,
-        stream: bool = True,
         cancel_token=None,
     ) -> ResultCursor:
         """Execute the template with one parameter value set."""
@@ -241,7 +224,7 @@ class PreparedQuery:
         report = self._report(parameters)
         execute_parameters = parameters if self.deferred else None
         return self._session._execute_report(
-            report, execute_parameters, stream, cancel_token)
+            report, execute_parameters, cancel_token)
 
     def report(
         self, parameters: Optional[Dict[str, object]] = None,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.backend import GraphScopeLikeBackend, Neo4jLikeBackend
+from repro.datasets import ldbc_snb_graph
 from repro.lang.cypher import cypher_to_gir
 from repro.optimizer.planner import GOptimizer
 from repro.optimizer.physical_plan import PhysicalPlan, ScanVertex
@@ -57,6 +58,25 @@ class TestExecution:
         result = backend.execute(optimizer.optimize(cypher_to_gir(QUERY)).physical_plan)
         assert result.timed_out
         assert result.rows == []
+
+    @pytest.mark.parametrize("engine", ["row", "vectorized"])
+    def test_execute_stops_early_under_a_bare_limit(self, engine):
+        """``execute`` is a drained stream: LIMIT 5 pays for a prefix only.
+
+        (Small batches so the vectorized engine, whose early-exit granularity
+        is one batch, shows it on a G300-sized graph.)
+        """
+        graph = ldbc_snb_graph("G300")
+        backend = GraphScopeLikeBackend(graph, num_partitions=4)
+        optimizer = GOptimizer.for_graph(graph, profile=backend.profile())
+        query = "MATCH (p:Person)-[:KNOWS]->(f) RETURN f.id AS friend"
+        full, limited = (
+            backend.execute(optimizer.optimize(cypher_to_gir(text)).physical_plan,
+                            engine=engine, batch_size=8)
+            for text in (query, query + " LIMIT 5"))
+        assert limited.rows == full.rows[:5]
+        assert (limited.metrics.intermediate_results
+                < full.metrics.intermediate_results / 10)
 
     def test_invalid_partition_count_rejected(self, ldbc_graph):
         with pytest.raises(ValueError):

@@ -43,11 +43,11 @@ class TestSelectiveScanDeadline:
 
     @pytest.mark.parametrize("engine", ["row", "vectorized", "dataflow"])
     def test_materialized_zero_row_scan_times_out(self, g300_service, engine):
-        with g300_service.session(engine=engine, timeout_seconds=0.0,
-                                  batch_size=64) as session:
-            cursor = session.run(SELECTIVE, stream=False)
-            assert cursor.fetch_all() == []
-            assert cursor.timed_out
+        result = g300_service.backend.execute(
+            g300_service.optimize(SELECTIVE).physical_plan, engine=engine,
+            timeout_seconds=0.0, batch_size=64)
+        assert result.rows == []
+        assert result.timed_out
 
     def test_scan_completes_under_a_live_deadline(self, g300_service):
         """Sanity: the checkpoint does not break ordinary executions."""

@@ -32,6 +32,12 @@ class TestRegistryCompleteness:
         """No (mode, operator) pair without a kernel or a declared fallback."""
         assert registry.missing_registrations() == []
 
+    def test_one_mode_per_engine(self):
+        from repro.backend import ENGINES
+
+        assert len(registry.MODES) == 3
+        assert set(registry.MODES) == set(ENGINES)
+
     def test_dataflow_breakers_have_declared_fallbacks(self):
         from repro.optimizer.physical_plan import (
             Aggregate, Dedup, HashJoin, Limit, Sort, Union,
@@ -42,8 +48,8 @@ class TestRegistryCompleteness:
             reason = registry.fallback_reason(registry.MODE_DATAFLOW, op_type)
             assert reason and "driver" in reason
 
-    def test_streaming_modes_have_no_fallbacks(self):
-        """Since the kernel refactor every operator streams incrementally."""
+    def test_serial_modes_have_no_fallbacks(self):
+        """Both serial pipelines stream every operator incrementally."""
         for mode in (registry.MODE_STREAM_ROWS, registry.MODE_STREAM_BATCHES):
             for op_type in registry.all_physical_operator_types():
                 assert registry.has_kernel(mode, op_type), (

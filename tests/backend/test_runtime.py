@@ -4,7 +4,7 @@ import pytest
 
 from repro.backend.runtime.binding import ERef, PRef, VRef
 from repro.backend.runtime.context import ExecutionContext
-from repro.backend.runtime.operators import execute_operator
+from repro.backend.runtime.streaming import execute_operator
 from repro.errors import ExecutionTimeout
 from repro.gir.expressions import parse_expression
 from repro.gir.operators import AggregateCall, AggregateFunction, ProjectItem, SortKey
@@ -285,6 +285,10 @@ class TestBudgetsAndCaching:
         ctx = ExecutionContext(tiny_graph, max_intermediate_results=2)
         with pytest.raises(ExecutionTimeout):
             execute_operator(scan("a", "Person"), ctx)
+
+    def test_batch_size_below_one_rejected(self, tiny_graph):
+        with pytest.raises(ValueError):
+            ExecutionContext(tiny_graph, batch_size=0)
 
     def test_operator_result_cache_by_identity(self, tiny_graph):
         ctx = ExecutionContext(tiny_graph)

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro import CancellationToken, GraphService
-from repro.backend.runtime.dataflow import execute_dataflow
+from repro.backend.runtime.dataflow import DataflowExecutor
 from repro.errors import CancelledError
 from repro.service import ConcurrentExecutor
 from repro.testing import FaultInjector, FaultRule
@@ -48,7 +48,7 @@ class TestCancellationPromptness:
                                          cancel_token=token)
         with FaultInjector(seed=chaos_seed, rules=rules) as injector:
             with pytest.raises(CancelledError):
-                execute_dataflow(report.physical_plan.root, ctx)
+                DataflowExecutor(ctx).run(report.physical_plan.root)
         assert injector.fired == 1
         done = ctx.counters.intermediate_results
         bound = (workers + 1) * batch
@@ -61,7 +61,7 @@ class TestCancellationPromptness:
         token.cancel("pre-cancelled")
         ctx = gopt.backend._make_context(workers=4, cancel_token=token)
         with pytest.raises(CancelledError) as excinfo:
-            execute_dataflow(report.physical_plan.root, ctx)
+            DataflowExecutor(ctx).run(report.physical_plan.root)
         assert excinfo.value.reason == "pre-cancelled"
         assert ctx.counters.intermediate_results == 0
 
@@ -108,9 +108,9 @@ class TestCursorCloseRaces:
             assert cursor.fetch_one() is None
             metrics = cursor.consume()  # close-after-close still reports
             assert metrics.intermediate_results >= 0
-        # materialized cursors share the same contract
+        # ... also when nothing was ever pulled
         with service.session() as session:
-            cursor = session.run(THREE_HOP, stream=False)
+            cursor = session.run(THREE_HOP)
             cursor.close()
             cursor.close()
 

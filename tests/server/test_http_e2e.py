@@ -7,6 +7,7 @@ exposes the serving counters.
 """
 
 import json
+import socket
 import threading
 import time
 
@@ -20,6 +21,7 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.server import GraphHTTPServer
+from repro.server.wire import ErrorWire
 from repro.service import GraphService
 from repro.testing.faults import FaultInjector
 from repro.workloads import bi_queries, ic_queries, qr_queries, qt_queries
@@ -120,6 +122,28 @@ def test_max_rows_truncation_flag(ldbc_client):
 def test_parse_error_maps_to_400(ldbc_client):
     with pytest.raises(ParseError):
         ldbc_client.run("MATCH p:Person RETURN")
+
+
+@pytest.mark.parametrize("content_length", ["abc", "-1"])
+def test_malformed_content_length_gets_a_typed_400(ldbc_server, content_length):
+    """Neither a dead handler thread with no response nor a read that blocks
+    until the client hangs up: a 400 within 2 s, then the server closes."""
+    request = ("POST /v1/queries HTTP/1.1\r\nHost: test\r\n"
+               "Content-Length: %s\r\n\r\n" % content_length).encode("ascii")
+    with socket.create_connection((ldbc_server.host, ldbc_server.port),
+                                  timeout=2.0) as sock:
+        sock.sendall(request)
+        raw = b""
+        while True:  # until the server closes; a hang trips the 2 s timeout
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            raw += chunk
+    head, _, body = raw.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    error = ErrorWire.from_dict(json.loads(body))
+    assert (error.type, error.status) == ("GOptError", 400)
+    assert "Content-Length" in error.message
 
 
 def test_unknown_cursor_maps_to_404(ldbc_client):

@@ -26,12 +26,8 @@ class TestStreamingParity:
     @pytest.mark.parametrize("engine", ["row", "vectorized"])
     @pytest.mark.parametrize("query", PARITY_QUERIES)
     def test_rows_and_counters_match_materialized(self, service, query, engine):
-        """A fully drained stream equals the materializing engine bit-for-bit.
-
-        Rows (content and order) must be identical; the work counters must
-        be identical too unless the plan contains an early-exit LIMIT, in
-        which case streaming may only do *less* work.
-        """
+        """``Backend.execute`` is a fully drained stream, bit-for-bit:
+        identical rows (content and order) and identical work counters."""
         report = service.optimize(query)
         backend = service.backend
         materialized = backend.execute(report.physical_plan, engine=engine)
@@ -40,11 +36,7 @@ class TestStreamingParity:
         streamed = stream.metrics().as_dict()
         reference = materialized.metrics.as_dict()
         for key, value in reference.items():
-            if key == "elapsed_seconds":
-                continue
-            if "LIMIT" in query:
-                assert streamed[key] <= value, key
-            else:
+            if key != "elapsed_seconds":
                 assert streamed[key] == value, key
 
     @pytest.mark.parametrize("engine", ["row", "vectorized"])
@@ -62,32 +54,31 @@ class TestEarlyExit:
     def test_limit_stops_pulling(self, service, engine):
         # small batches so the vectorized engine's early exit shows on a small
         # graph too (streaming granularity is one batch)
-        query = "MATCH (p:Person)-[:Knows]->(f:Person) RETURN f.name AS n LIMIT 5"
-        report = service.optimize(query)
-        materialized = service.backend.execute(report.physical_plan, engine=engine,
-                                               batch_size=8)
-        stream = service.backend.execute_streaming(report.physical_plan,
-                                                   engine=engine, batch_size=8)
-        assert list(stream) == materialized.rows
+        query = "MATCH (p:Person)-[:Knows]->(f:Person) RETURN f.name AS n"
+        unlimited = service.backend.execute(
+            service.optimize(query).physical_plan, engine=engine, batch_size=8)
+        stream = service.backend.execute_streaming(
+            service.optimize(query + " LIMIT 5").physical_plan,
+            engine=engine, batch_size=8)
+        assert list(stream) == unlimited.rows[:5]
         assert (stream.metrics().intermediate_results
-                < materialized.metrics.intermediate_results)
+                < unlimited.metrics.intermediate_results)
 
     @pytest.mark.parametrize("engine", ["row", "vectorized"])
     def test_limit_never_materializes_on_largest_scaling_graph(self, engine):
         """Acceptance: LIMIT 5 on the largest scaling graph stays tiny.
 
-        The streamed execution's intermediate-result counter must stay within
-        a small constant of the 5 returned rows -- orders of magnitude below
-        the full expansion the materializing engine performs.
+        The execution's intermediate-result counter must stay within a small
+        constant of the 5 returned rows -- orders of magnitude below the full
+        expansion the same query performs without the LIMIT.
         """
         graph = ldbc_snb_graph("G1000")
         # low-order statistics keep setup fast; plan quality is irrelevant here
         service = GraphService(graph, backend="graphscope",
                                config=OptimizerConfig(max_motif_vertices=2))
-        query = ("MATCH (p:Person)-[:KNOWS]->(f:Person) "
-                 "RETURN f.id AS friend LIMIT 5")
+        query = "MATCH (p:Person)-[:KNOWS]->(f:Person) RETURN f.id AS friend"
         with service.session(engine=engine, batch_size=32) as session:
-            cursor = session.run(query)
+            cursor = session.run(query + " LIMIT 5")
             rows = cursor.fetch_all()
             metrics = cursor.consume()
         assert len(rows) == 5
@@ -102,7 +93,9 @@ class TestEarlyExit:
             cursor = session.run(PARITY_QUERIES[0])
             assert cursor.fetch_many(2)
             partial = cursor.consume()
-            full = session.run(PARITY_QUERIES[0], stream=False).consume()
+            drained = session.run(PARITY_QUERIES[0])
+            drained.fetch_all()
+            full = drained.consume()
         assert partial.intermediate_results < full.intermediate_results
 
 
@@ -158,13 +151,13 @@ class TestResultCursor:
             assert cursor.report.physical_plan.size() >= 1
             cursor.close()
 
-    def test_materialized_cursor_same_interface(self, service):
+    def test_drained_cursor_matches_backend_execute(self, service):
         with service.session() as session:
-            lazy = session.run(PARITY_QUERIES[0]).fetch_all()
-            eager_cursor = session.run(PARITY_QUERIES[0], stream=False)
-            assert eager_cursor.fetch_all() == lazy
-            assert not eager_cursor.timed_out
-            assert eager_cursor.backend == "graphscope"
+            cursor = session.run(PARITY_QUERIES[0])
+            assert cursor.fetch_all() == service.backend.execute(
+                cursor.report.physical_plan).rows
+            assert not cursor.timed_out
+            assert cursor.backend == "graphscope"
 
     def test_streaming_timeout_flags_not_raises(self, service):
         with service.session(max_intermediate_results=3) as session:

@@ -172,8 +172,9 @@ class TestBoundedMemoryTopK:
         # well below the execution's total intermediate volume
         assert peak < reference.metrics.intermediate_results
 
-    def test_materialized_cursor_has_no_peak(self, service):
+    def test_peak_is_an_int_from_the_first_pull_on(self, service):
         with service.session() as session:
-            cursor = session.run(BREAKER_QUERIES[0], stream=False)
-            assert cursor.peak_held_rows is None
-            cursor.close()
+            cursor = session.run(BREAKER_QUERIES[0])
+            assert cursor.peak_held_rows == 0  # nothing pulled yet
+            cursor.fetch_all()
+            assert cursor.peak_held_rows > 0
