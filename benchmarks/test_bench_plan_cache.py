@@ -7,7 +7,7 @@ the per-call latency with the cache enabled vs disabled.
 
 import time
 
-from repro import GOpt
+from repro import GraphService
 from repro.bench import format_table
 
 from bench_utils import run_once
@@ -21,11 +21,17 @@ PARAM_SETS = [{"ids": [i, i + 1, i + 2]} for i in range(0, 40, 10)]
 REPEATS = 15
 
 
-def _run_workload(gopt):
+def _execute_inlined(service, parameters):
+    """One call of the value-keyed path: values inlined at parse, plan drained."""
+    report = service.optimize(TEMPLATE, "cypher", parameters)
+    return service.backend.execute(report.physical_plan)
+
+
+def _run_workload(service):
     start = time.perf_counter()
     for _ in range(REPEATS):
         for params in PARAM_SETS:
-            gopt.execute_cypher(TEMPLATE, parameters=params)
+            _execute_inlined(service, params)
     return time.perf_counter() - start
 
 
@@ -33,8 +39,8 @@ def test_bench_plan_cache(benchmark, g30):
     graph, _ = g30
 
     def compare():
-        cached = GOpt.for_graph(graph, backend="graphscope", plan_cache_size=128)
-        uncached = GOpt.for_graph(graph, backend="graphscope", plan_cache_size=None)
+        cached = GraphService(graph, backend="graphscope", plan_cache_size=128)
+        uncached = GraphService(graph, backend="graphscope", plan_cache_size=None)
         cached_seconds = _run_workload(cached)
         uncached_seconds = _run_workload(uncached)
         info = cached.cache_info()
@@ -62,20 +68,18 @@ def test_bench_plan_cache(benchmark, g30):
 def test_bench_prepared_statement_cache(benchmark, g30):
     """Prepared statements: 100 distinct value sets, one type-keyed plan.
 
-    The value-keyed facade path above re-optimizes per distinct parameter
+    The value-keyed inline path above re-optimizes per distinct parameter
     value; a prepared statement defers binding, so the same 100-value sweep
     costs one optimization and 99 cache hits.
     """
-    from repro import GraphService
-
     graph, _ = g30
     distinct_values = 100
 
     def serve():
-        inlined = GOpt.for_graph(graph, backend="graphscope", plan_cache_size=128)
+        inlined = GraphService(graph, backend="graphscope", plan_cache_size=128)
         inlined_start = time.perf_counter()
         for index in range(distinct_values):
-            inlined.execute_cypher(TEMPLATE, parameters={"ids": [index, index + 1]})
+            _execute_inlined(inlined, {"ids": [index, index + 1]})
         inlined_seconds = time.perf_counter() - inlined_start
 
         service = GraphService(graph, backend="graphscope", plan_cache_size=128)

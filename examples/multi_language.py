@@ -11,7 +11,7 @@ Run with::
     python examples/multi_language.py
 """
 
-from repro import GOpt
+from repro import GraphService
 from repro.datasets import ldbc_snb_graph
 
 CYPHER = """
@@ -29,22 +29,22 @@ GREMLIN = (
 
 def main() -> None:
     graph = ldbc_snb_graph("G30")
-    gopt = GOpt.for_graph(graph, backend="graphscope")
+    service = GraphService(graph, backend="graphscope")
 
     print("=== Cypher ===")
     print(CYPHER.strip())
-    cypher_report = gopt.optimize(CYPHER, language="cypher")
+    cypher_report = service.optimize(CYPHER, language="cypher")
     print("\noptimized physical plan:")
     print(cypher_report.physical_plan.explain())
 
     print("\n=== Gremlin ===")
     print(GREMLIN)
-    gremlin_report = gopt.optimize(GREMLIN, language="gremlin")
+    gremlin_report = service.optimize(GREMLIN, language="gremlin")
     print("\noptimized physical plan:")
     print(gremlin_report.physical_plan.explain())
 
-    cypher_result = gopt.backend.execute(cypher_report.physical_plan)
-    gremlin_result = gopt.backend.execute(gremlin_report.physical_plan)
+    cypher_result = service.backend.execute(cypher_report.physical_plan)
+    gremlin_result = service.backend.execute(gremlin_report.physical_plan)
     cypher_count = cypher_result.rows[0]["matches"]
     gremlin_count = gremlin_result.rows[0]["count"]
 

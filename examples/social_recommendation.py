@@ -15,7 +15,7 @@ Run with::
     python examples/social_recommendation.py
 """
 
-from repro import GOpt
+from repro import GraphService
 from repro.datasets import ldbc_snb_graph
 from repro.optimizer.planner import OptimizerConfig
 
@@ -36,24 +36,26 @@ LIMIT 10
 """
 
 
-def run(gopt: GOpt, query: str, label: str) -> None:
-    outcome = gopt.execute_cypher(query)
-    metrics = outcome.result.metrics
-    status = "OT" if outcome.timed_out else "%.4fs" % metrics.elapsed_seconds
+def run(service: GraphService, query: str, label: str) -> None:
+    with service.session() as session:
+        cursor = session.run(query)
+        rows = cursor.fetch_all()
+        metrics = cursor.consume()
+    status = "OT" if metrics.timed_out else "%.4fs" % metrics.elapsed_seconds
     print("%-28s runtime=%-10s work=%-10d rows=%d"
-          % (label, status, metrics.total_work, len(outcome.rows)))
+          % (label, status, metrics.total_work, len(rows)))
 
 
 def main() -> None:
     graph = ldbc_snb_graph("G100")
     print("social network:", graph)
 
-    full = GOpt.for_graph(graph, backend="graphscope")
-    no_cbo = GOpt.for_graph(graph, backend="graphscope",
-                            config=OptimizerConfig(enable_cbo=False))
-    no_inference = GOpt.for_graph(graph, backend="graphscope",
-                                  config=OptimizerConfig(enable_type_inference=False,
-                                                         enable_cbo=False))
+    full = GraphService(graph, backend="graphscope")
+    no_cbo = GraphService(graph, backend="graphscope",
+                          config=OptimizerConfig(enable_cbo=False))
+    no_inference = GraphService(graph, backend="graphscope",
+                                config=OptimizerConfig(enable_type_inference=False,
+                                                       enable_cbo=False))
 
     print("\n-- friend recommendation (cyclic pattern, explicit types) --")
     run(full, RECOMMENDATION_QUERY, "GOpt (full)")
@@ -64,8 +66,9 @@ def main() -> None:
     run(no_inference, UNTYPED_VARIANT, "without type inference")
 
     print("\ntop recommendations for person 1:")
-    outcome = full.execute_cypher(RECOMMENDATION_QUERY)
-    for row in outcome.rows:
+    with full.session() as session:
+        recommendations = session.run(RECOMMENDATION_QUERY).fetch_all()
+    for row in recommendations:
         print("  person %-4s shares %d interests" % (row["candidate"], row["commonInterests"]))
 
 

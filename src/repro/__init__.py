@@ -30,12 +30,8 @@ Quickstart::
         for row in session.run(
                 "MATCH (p:Person)-[:Knows]->(f:Person) RETURN f.name LIMIT 5"):
             print(row)
-
-(The legacy one-object facade, ``GOpt``, remains available as a thin shim
-over the service.)
 """
 
-from repro.api import GOpt, OptimizedQuery
 from repro.backend.base import available_engines
 from repro.client import GraphClient
 from repro.server import GraphHTTPServer
@@ -57,8 +53,6 @@ from repro.service import (
 __version__ = "1.1.0"
 
 __all__ = [
-    "GOpt",
-    "OptimizedQuery",
     "available_engines",
     "GraphService",
     "Session",

@@ -20,10 +20,10 @@ from repro.backend.base import (
     ENGINES,
     Backend,
     ExecutionMetrics,
+    ExecutionOptions,
     ExecutionResult,
-    StreamingResult,
+    ResultCursor,
     available_engines,
-    validate_engine,
 )
 from repro.backend.graphscope_like import GraphScopeLikeBackend
 from repro.backend.neo4j_like import Neo4jLikeBackend
@@ -33,9 +33,9 @@ __all__ = [
     "Backend",
     "ExecutionResult",
     "ExecutionMetrics",
-    "StreamingResult",
+    "ExecutionOptions",
+    "ResultCursor",
     "Neo4jLikeBackend",
     "GraphScopeLikeBackend",
     "available_engines",
-    "validate_engine",
 ]

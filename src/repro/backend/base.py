@@ -1,12 +1,18 @@
-"""Backend base class, execution results and the streaming execution handle."""
+"""Backend base class, execution results and the result cursor."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.backend.runtime.binding import ERef, PRef, VRef
-from repro.backend.runtime.context import CancellationToken, ExecutionContext
+from repro.backend.runtime.context import (
+    ENGINES,
+    CancellationToken,
+    ExecutionContext,
+    ExecutionOptions,
+)
 from repro.backend.runtime.dataflow import open_dataflow_stream
 from repro.backend.runtime.streaming import stream_result_rows
 from repro.errors import CancelledError, ExecutionTimeout, GOptError
@@ -14,11 +20,6 @@ from repro.graph.partition import GraphPartitioner
 from repro.graph.property_graph import PropertyGraph
 from repro.optimizer.physical_plan import PhysicalPlan
 from repro.optimizer.physical_spec import BackendProfile
-
-#: sentinel distinguishing "not overridden" from an explicit ``None`` override
-#: (``None`` is a meaningful value for the time and intermediate budgets)
-_UNSET = object()
-
 
 @dataclass
 class ExecutionMetrics:
@@ -86,31 +87,48 @@ class ExecutionResult:
         return [tuple(row.get(col) for col in columns) for row in self.rows]
 
 
-class StreamingResult:
-    """A lazily produced plan execution: an iterator of rows plus metrics.
+class ResultCursor:
+    """The one handle on a plan execution: an iterator of rows plus metrics.
 
-    Wraps an engine's row iterator together with its execution context.
-    Iteration pulls rows on demand; :meth:`close` stops the execution early
-    (upstream operators never produce the remainder); :meth:`metrics` reports
-    the work actually performed so far.  A budget overrun
+    Returned by :meth:`Backend.execute_streaming` (and so by
+    ``Session.run``, which only attaches the optimizer's :attr:`report`).
+    Rows are produced on demand from the engine's row iterator, so a
+    consumer that stops early (``break``, :meth:`close`, :meth:`consume`)
+    never pays -- in time, memory or work counters -- for rows it does not
+    pull.  Pipeline breakers (joins, aggregations, top-k sorts) execute
+    incrementally rather than materializing their subtrees, so even
+    breaker-heavy queries stream in bounded memory
+    (:attr:`peak_held_rows`).  A budget overrun
     (:class:`~repro.errors.ExecutionTimeout`) ends the stream and flags
     ``timed_out`` instead of raising.
+
+    Typical use::
+
+        with session.run("MATCH (p:Person) RETURN p.name AS n") as cursor:
+            for row in cursor:           # or cursor.fetch_many(100)
+                handle(row)
+        metrics = cursor.consume()        # work/time actually performed
     """
 
     def __init__(self, ctx: ExecutionContext, rows: Iterator[dict], backend: str = ""):
         self._ctx = ctx
         self._rows = rows
         self.backend = backend
+        #: whether the execution hit its time/intermediate budget
         self.timed_out = False
-        self._close_requested = False
+        #: the optimizer's report for this query (``None`` for raw plans)
+        self.report = None
+        self._closed = False
+        self._close_lock = threading.Lock()
         self._finished = False
         self._elapsed: Optional[float] = None
 
-    def __iter__(self) -> "StreamingResult":
+    # -- iteration --------------------------------------------------------------
+    def __iter__(self) -> "ResultCursor":
         return self
 
-    def __next__(self) -> dict:
-        if self._finished:
+    def __next__(self) -> Dict[str, object]:
+        if self._closed or self._finished:
             raise StopIteration
         try:
             return next(self._rows)
@@ -123,7 +141,7 @@ class StreamingResult:
             raise StopIteration from None
         except CancelledError:
             self._finish()
-            if self._close_requested:
+            if self._closed:
                 # the consumer's own close() cancelled the token mid-pull:
                 # the stream simply ends (they asked for it; nothing is lost)
                 raise StopIteration from None
@@ -131,18 +149,47 @@ class StreamingResult:
             # a quiet end would present a truncated result as complete
             raise
 
-    def close(self) -> None:
-        """Stop the execution; rows not yet pulled are never produced.
+    def fetch_one(self) -> Optional[Dict[str, object]]:
+        """The next row, or ``None`` when the result is exhausted."""
+        try:
+            return next(self)
+        except StopIteration:
+            return None
 
-        Idempotent and safe to call concurrently with an in-flight fetch:
-        the cancellation token unwinds whichever thread is inside the
-        pipeline at its next kernel-batch checkpoint, and a generator that
-        is mid-``next`` on another thread (which refuses ``close()``) ends
+    def fetch_many(self, count: int) -> List[Dict[str, object]]:
+        """Up to ``count`` further rows (fewer only at the end of the result)."""
+        if count < 0:
+            raise GOptError("fetch_many expects a non-negative count")
+        rows: List[Dict[str, object]] = []
+        while len(rows) < count:
+            row = self.fetch_one()
+            if row is None:
+                break
+            rows.append(row)
+        return rows
+
+    def fetch_all(self) -> List[Dict[str, object]]:
+        """All remaining rows (materializes the rest of the stream)."""
+        return list(self)
+
+    # -- lifecycle --------------------------------------------------------------
+    def close(self) -> None:
+        """Stop the execution early; unpulled rows are never produced.
+
+        Idempotent, and safe to call from another thread while a fetch is in
+        flight: the closed flag flips exactly once under a lock, the
+        cancellation token unwinds whichever thread is inside the pipeline
+        at its next kernel-batch checkpoint (the concurrent fetch observes
+        ``StopIteration``, never a torn row), and a generator that is
+        mid-``next`` on another thread (which refuses ``close()``) ends
         through that cooperative path instead.
         """
+        with self._close_lock:
+            if self._closed:
+                return
+            self._closed = True
         if self._finished:
             return
-        self._close_requested = True
         self._ctx.cancel_token.cancel("cursor closed")
         try:
             self._rows.close()
@@ -162,34 +209,61 @@ class StreamingResult:
             self._elapsed = self._ctx.elapsed
 
     @property
-    def exhausted(self) -> bool:
-        return self._finished
+    def closed(self) -> bool:
+        """Whether :meth:`close` has been called (the serving layer's
+        lifecycle tests key on this)."""
+        return self._closed
 
+    def consume(self) -> ExecutionMetrics:
+        """Discard any remaining rows and return the execution's metrics.
+
+        The metrics reflect only the work actually performed up to this
+        point -- an early ``consume()`` after a few
+        ``fetch_many`` calls reports the cost of those rows, not of the full
+        result set.
+        """
+        self.close()
+        return self.metrics()
+
+    def __enter__(self) -> "ResultCursor":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+    # -- measurements -----------------------------------------------------------
     @property
     def exchange_stats(self) -> Optional[Dict[str, int]]:
-        """Observed exchange traffic so far (dataflow engine only)."""
+        """Observed exchange traffic so far (dataflow engine; ``None`` otherwise).
+
+        Rows that physically moved between partitions, by exchange kind
+        (``shuffled`` / ``local`` / ``relocated`` / ``broadcast`` /
+        ``gathered``) -- the measured counterpart of the simulated
+        ``tuples_shuffled`` work counter.
+        """
         if self._ctx.exchange_stats is None:
             return None
         return self._ctx.exchange_stats.snapshot()
 
     @property
     def worker_busy(self) -> Optional[List[float]]:
-        """Per-worker busy CPU seconds (dataflow engine only)."""
+        """Per-worker busy CPU seconds (dataflow engine; ``None`` otherwise)."""
         return self._ctx.worker_busy
 
     @property
     def peak_held_rows(self) -> int:
         """High-water mark of rows buffered by streaming pipeline breakers.
 
-        Incremental breaker states (top-k heaps, hash-join build sides,
-        aggregation groups) report how many rows they held at their peak --
-        the observable proof that e.g. ``ORDER BY .. LIMIT k`` streams in
-        bounded memory instead of materializing its input.
+        Top-k sorts hold at most ``k`` rows, hash joins their left (build)
+        input while the right side streams, aggregations one entry per
+        group -- the observable proof that e.g. ``ORDER BY .. LIMIT k``
+        streams in bounded memory instead of materializing its input, and
+        the bound on the cursor's memory footprint beyond plain row delivery.
         """
         return self._ctx.peak_held_rows
 
     def metrics(self) -> ExecutionMetrics:
-        """Work and time measurements of the execution *so far*."""
+        """Work and time measurements of the execution *so far* (without closing)."""
         counters = self._ctx.counters
         elapsed = self._elapsed if self._elapsed is not None else self._ctx.elapsed
         return ExecutionMetrics(
@@ -206,26 +280,9 @@ class StreamingResult:
         )
 
 
-#: execution engines understood by every backend
-ENGINES = ("row", "vectorized", "dataflow")
-
-
 def available_engines() -> tuple:
     """The execution engines every backend can interpret plans with."""
     return ENGINES
-
-
-def validate_engine(engine: str) -> str:
-    """Validate an engine name, raising a helpful error listing the options.
-
-    The single validation point for every layer that accepts an ``engine=``
-    string (backends, sessions, the ``GOpt`` facade), so a typo fails fast
-    with the list of valid engines instead of deep inside dispatch.
-    """
-    if engine not in ENGINES:
-        raise GOptError("unknown engine %r (expected one of %s)"
-                        % (engine, list(ENGINES)))
-    return engine
 
 
 class Backend:
@@ -262,17 +319,13 @@ class Backend:
         workers: int = 4,
         fallback_on_fault: bool = True,
     ):
-        validate_engine(engine)
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
         self.graph = graph
-        self.max_intermediate_results = max_intermediate_results
-        self.timeout_seconds = timeout_seconds
-        self.engine = engine
-        self.batch_size = batch_size
-        self.workers = workers
+        #: the defaults every execution runs under unless overridden per
+        #: session / per call; immutable, so concurrent sessions never race
+        self.options = ExecutionOptions(
+            engine=engine, timeout_seconds=timeout_seconds,
+            max_intermediate_results=max_intermediate_results,
+            batch_size=batch_size, workers=workers)
         # infrastructure faults inside the dataflow engine degrade to a
         # serial row-engine re-execution (``ExecutionMetrics.degraded``)
         # instead of failing the query; set False to surface the typed
@@ -287,69 +340,42 @@ class Backend:
         """The PhysicalSpec profile this backend registers with the optimizer."""
         raise NotImplementedError
 
-    def _resolve_engine(self, engine: Optional[str]) -> str:
-        return validate_engine(engine or self.engine)
-
     def _make_context(
         self,
+        options: ExecutionOptions,
         parameters: Optional[Dict[str, object]] = None,
-        timeout_seconds=_UNSET,
-        max_intermediate_results=_UNSET,
-        batch_size: Optional[int] = None,
-        workers: Optional[int] = None,
         cancel_token: Optional[CancellationToken] = None,
     ) -> ExecutionContext:
-        """A fresh execution context, applying per-call budget overrides.
+        """A fresh execution context running under ``options``.
 
-        The overrides exist for the session layer: sessions of one shared
-        backend run with their own engine/timeout/budget/batch size/worker
-        count without mutating the backend (which would race under
-        concurrent serving).  ``cancel_token`` lets a caller hold the
-        cancellation handle of this one execution (the admission layer
-        cancels in-flight queries on shutdown through it).
+        ``cancel_token`` lets a caller hold the cancellation handle of this
+        one execution (the admission layer cancels in-flight queries on
+        shutdown through it).
         """
         return ExecutionContext(
             self.graph,
             partitioner=self._partitioner(),
-            max_intermediate_results=(self.max_intermediate_results
-                                      if max_intermediate_results is _UNSET
-                                      else max_intermediate_results),
-            timeout_seconds=(self.timeout_seconds if timeout_seconds is _UNSET
-                             else timeout_seconds),
-            batch_size=batch_size if batch_size is not None else self.batch_size,
+            options=options,
             parameters=parameters,
-            workers=workers if workers is not None else self.workers,
             cancel_token=cancel_token,
         )
 
     def execute(
         self,
         plan: PhysicalPlan,
-        engine: Optional[str] = None,
         parameters: Optional[Dict[str, object]] = None,
-        timeout_seconds=_UNSET,
-        max_intermediate_results=_UNSET,
-        batch_size: Optional[int] = None,
-        workers: Optional[int] = None,
         cancel_token: Optional[CancellationToken] = None,
+        **overrides,
     ) -> ExecutionResult:
         """Interpret a physical plan to completion: a drained
-        :meth:`execute_streaming`.
+        :meth:`execute_streaming` (same arguments).
 
-        ``engine`` overrides the backend's configured engine for this one
-        execution (used by the differential tests and benchmarks); the other
-        keyword arguments override the corresponding backend budgets for this
-        one execution without mutating shared backend state (used by the
-        session layer).  ``parameters`` binds values for deferred ``$param``
-        placeholders in prepared plans.  Plans exceeding the budget return an
-        empty result flagged ``timed_out`` (the harness reports them as OT,
-        like the paper).  The work counters are those of the rows actually
-        pulled, so a plan ending in a bare ``LIMIT`` charges only the prefix
-        it needed.
+        Plans exceeding the budget return an empty result flagged
+        ``timed_out`` (the harness reports them as OT, like the paper).  The
+        work counters are those of the rows actually pulled, so a plan
+        ending in a bare ``LIMIT`` charges only the prefix it needed.
         """
-        stream = self.execute_streaming(
-            plan, engine, parameters, timeout_seconds, max_intermediate_results,
-            batch_size, workers, cancel_token)
+        stream = self.execute_streaming(plan, parameters, cancel_token, **overrides)
         rows = list(stream)
         return ExecutionResult(
             rows=[] if stream.timed_out else rows, metrics=stream.metrics(),
@@ -360,15 +386,21 @@ class Backend:
     def execute_streaming(
         self,
         plan: PhysicalPlan,
-        engine: Optional[str] = None,
         parameters: Optional[Dict[str, object]] = None,
-        timeout_seconds=_UNSET,
-        max_intermediate_results=_UNSET,
-        batch_size: Optional[int] = None,
-        workers: Optional[int] = None,
         cancel_token: Optional[CancellationToken] = None,
-    ) -> "StreamingResult":
-        """Begin a lazy plan execution, returning a :class:`StreamingResult`.
+        options: Optional[ExecutionOptions] = None,
+        **overrides,
+    ) -> ResultCursor:
+        """Begin a lazy plan execution, returning its :class:`ResultCursor`.
+
+        The execution runs under ``options`` (the session layer passes the
+        value it resolved at construction; default: this backend's own),
+        with ``overrides`` -- the keywords of
+        :meth:`ExecutionOptions.override`: ``engine``, ``timeout_seconds``,
+        ``max_intermediate_results``, ``batch_size``, ``workers`` -- applied
+        for this one execution (used by the differential tests and
+        benchmarks).  Nothing shared is mutated either way.  ``parameters``
+        binds values for deferred ``$param`` placeholders in prepared plans.
 
         Rows are produced on demand by the serial pipelines
         (:mod:`repro.backend.runtime.streaming`): a consumer that stops early
@@ -376,7 +408,7 @@ class Backend:
         Pipeline breakers execute incrementally -- hash joins stream their
         probe side, aggregations fold into group state, ``ORDER BY .. LIMIT``
         keeps a bounded top-k heap -- so no operator materializes more than
-        it must (see :attr:`StreamingResult.peak_held_rows`).  Work counters
+        it must (see :attr:`ResultCursor.peak_held_rows`).  Work counters
         and the time/intermediate budget are enforced incrementally as rows
         are pulled.  The dataflow engine instead starts
         its worker pipelines in the background immediately -- rows become
@@ -386,16 +418,14 @@ class Backend:
         serial row-engine re-execution when ``fallback_on_fault`` is set,
         flagged in ``metrics.degraded``.
         """
-        engine = self._resolve_engine(engine)
-        ctx = self._make_context(parameters, timeout_seconds,
-                                 max_intermediate_results, batch_size, workers,
-                                 cancel_token)
-        if engine == "dataflow":
+        options = (options or self.options).override(**overrides)
+        ctx = self._make_context(options, parameters, cancel_token)
+        if options.engine == "dataflow":
             source = open_dataflow_stream(plan.root, ctx,
                                           fallback=self.fallback_on_fault)
         else:
-            source = stream_result_rows(plan.root, ctx, engine)
-        return StreamingResult(ctx, source, backend=self.name)
+            source = stream_result_rows(plan.root, ctx, options.engine)
+        return ResultCursor(ctx, source, backend=self.name)
 
     # -- convenience helpers for presenting results ----------------------------------
     def render_value(self, value):

@@ -22,20 +22,9 @@ class GraphScopeLikeBackend(Backend):
 
     name = "graphscope"
 
-    def __init__(
-        self,
-        graph: PropertyGraph,
-        num_partitions: int = 4,
-        max_intermediate_results: Optional[int] = 2_000_000,
-        timeout_seconds: Optional[float] = 60.0,
-        engine: str = "row",
-        batch_size: int = 1024,
-        workers: int = 4,
-        fallback_on_fault: bool = True,
-    ):
-        super().__init__(graph, max_intermediate_results, timeout_seconds,
-                         engine=engine, batch_size=batch_size, workers=workers,
-                         fallback_on_fault=fallback_on_fault)
+    def __init__(self, graph: PropertyGraph, num_partitions: int = 4, **options):
+        """``options`` are :class:`~repro.backend.base.Backend`'s keywords."""
+        super().__init__(graph, **options)
         if num_partitions < 1:
             raise ValueError("num_partitions must be >= 1")
         self.num_partitions = num_partitions

@@ -9,11 +9,7 @@ communication cost.  Plans produced for this backend by GOpt use the
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.backend.base import Backend
-from repro.graph.partition import GraphPartitioner
-from repro.graph.property_graph import PropertyGraph
 from repro.optimizer.physical_spec import BackendProfile, neo4j_profile
 
 
@@ -21,23 +17,6 @@ class Neo4jLikeBackend(Backend):
     """Single-machine interpreted runtime in the style of Neo4j."""
 
     name = "neo4j"
-
-    def __init__(
-        self,
-        graph: PropertyGraph,
-        max_intermediate_results: Optional[int] = 2_000_000,
-        timeout_seconds: Optional[float] = 60.0,
-        engine: str = "row",
-        batch_size: int = 1024,
-        workers: int = 4,
-        fallback_on_fault: bool = True,
-    ):
-        super().__init__(graph, max_intermediate_results, timeout_seconds,
-                         engine=engine, batch_size=batch_size, workers=workers,
-                         fallback_on_fault=fallback_on_fault)
-
-    def _partitioner(self) -> Optional[GraphPartitioner]:
-        return None
 
     def profile(self) -> BackendProfile:
         return neo4j_profile()

@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.backend.runtime.binding import ERef, PRef, VRef
-from repro.errors import CancelledError, ExecutionError, ExecutionTimeout
+from repro.errors import (
+    CancelledError,
+    ExecutionError,
+    ExecutionTimeout,
+    InvalidOptionError,
+)
 from repro.gir.expressions import ExpressionEvaluator
 from repro.graph.partition import GraphPartitioner
 from repro.graph.property_graph import PropertyGraph
@@ -51,6 +57,105 @@ class CancellationToken:
                 reason=self.reason)
 
 
+class InFlightTokens:
+    """The cancellation tokens of the executions a serving front end has in flight.
+
+    Shared by the in-process executor and the HTTP app: each execution runs
+    inside :meth:`track`, and a shutdown path cancels whatever is still
+    running through :meth:`cancel_all`.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._tokens: Set[CancellationToken] = set()
+
+    @contextmanager
+    def track(self) -> Iterator[CancellationToken]:
+        """A fresh token, registered for the duration of the ``with`` block."""
+        token = CancellationToken()
+        with self._lock:
+            self._tokens.add(token)
+        try:
+            yield token
+        finally:
+            with self._lock:
+                self._tokens.discard(token)
+
+    def cancel_all(self, reason: str) -> int:
+        """Cancel every tracked execution; returns how many were signalled."""
+        with self._lock:
+            tokens = list(self._tokens)
+        for token in tokens:
+            token.cancel(reason)
+        return len(tokens)
+
+
+#: execution engines understood by every backend
+ENGINES = ("row", "vectorized", "dataflow")
+
+#: "argument not given", for the two budgets whose ``None`` means "unlimited"
+_UNSET = object()
+
+
+@dataclass(frozen=True)
+class ExecutionOptions:
+    """The per-execution settings of one plan run, as one immutable value.
+
+    A backend holds its defaults as one of these, a session derives its own
+    with :meth:`override` once at construction, and every
+    :class:`ExecutionContext` carries the value it runs under.  The field
+    defaults are the bare context's: serial, no budgets.
+    """
+
+    #: plan interpreter, one of :data:`ENGINES`
+    engine: str = "row"
+    #: wall-clock budget of one execution (``None``: unlimited)
+    timeout_seconds: Optional[float] = None
+    #: intermediate-row budget of one execution (``None``: unlimited)
+    max_intermediate_results: Optional[int] = None
+    #: rows per column batch / kernel checkpoint interval
+    batch_size: int = 1024
+    #: dataflow engine worker-thread count
+    workers: int = 1
+
+    def __post_init__(self):
+        if self.engine not in ENGINES:
+            raise InvalidOptionError("unknown engine %r (expected one of %s)"
+                                     % (self.engine, list(ENGINES)))
+        if self.batch_size < 1:
+            raise InvalidOptionError("batch_size must be >= 1")
+        if self.workers < 1:
+            raise InvalidOptionError("workers must be >= 1")
+
+    def override(
+        self,
+        engine: Optional[str] = None,
+        timeout_seconds=_UNSET,
+        max_intermediate_results=_UNSET,
+        batch_size: Optional[int] = None,
+        workers: Optional[int] = None,
+    ) -> "ExecutionOptions":
+        """These options with the given fields replaced (and re-validated).
+
+        The one place that decides "not given" against an explicit ``None``:
+        ``None`` keeps ``engine`` / ``batch_size`` / ``workers`` (they have
+        no meaningful null), but *sets* the two budgets to unlimited -- only
+        omitting a budget keeps it.
+        """
+        changes: Dict[str, object] = {}
+        if engine is not None:
+            changes["engine"] = engine
+        if timeout_seconds is not _UNSET:
+            changes["timeout_seconds"] = timeout_seconds
+        if max_intermediate_results is not _UNSET:
+            changes["max_intermediate_results"] = max_intermediate_results
+        if batch_size is not None:
+            changes["batch_size"] = batch_size
+        if workers is not None:
+            changes["workers"] = workers
+        return replace(self, **changes) if changes else self
+
+
 @dataclass
 class WorkCounters:
     """Backend-agnostic work counters reported with every execution."""
@@ -89,23 +194,19 @@ class ExecutionContext:
         self,
         graph: PropertyGraph,
         partitioner: Optional[GraphPartitioner] = None,
-        max_intermediate_results: Optional[int] = None,
-        timeout_seconds: Optional[float] = None,
-        batch_size: int = 1024,
+        options: ExecutionOptions = ExecutionOptions(),
         parameters: Optional[Dict[str, object]] = None,
-        workers: int = 1,
         cancel_token: Optional[CancellationToken] = None,
     ):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         self.graph = graph
         self.partitioner = partitioner
         self.counters = WorkCounters()
-        self.max_intermediate_results = max_intermediate_results
-        self.timeout_seconds = timeout_seconds
-        self.batch_size = batch_size
-        # dataflow engine: worker threads driving the partition pipelines
-        self.workers = workers
+        self.options = options
+        # read on every charge / tick / deadline probe: plain attributes
+        # spare the per-row hop through ``options``
+        self.max_intermediate_results = options.max_intermediate_results
+        self.timeout_seconds = options.timeout_seconds
+        self.batch_size = options.batch_size
         # populated by the dataflow engine: observed exchange traffic and
         # per-worker busy time (None for the serial engines)
         self.exchange_stats = None
@@ -191,11 +292,8 @@ class ExecutionContext:
         child = ExecutionContext(
             self.graph,
             partitioner=self.partitioner,
-            max_intermediate_results=None,
-            timeout_seconds=self.timeout_seconds,
-            batch_size=self.batch_size,
+            options=self.options.override(max_intermediate_results=None, workers=1),
             parameters=self.parameters,
-            workers=1,
             cancel_token=self.cancel_token,
         )
         child._start_time = self._start_time

@@ -147,10 +147,6 @@ class Channel:
     def closed(self) -> bool:
         return self._closed
 
-    @property
-    def poisoned(self) -> Optional[BaseException]:
-        return self._poisoned
-
     def exhausted(self) -> bool:
         """True when no morsel is buffered and no producer remains."""
         with self._lock:

@@ -8,7 +8,7 @@ dataflow engine (GraphScope/Gaia) would, inside one process:
 * each segment runs as per-partition pipelines over the
   :class:`~repro.graph.partition.GraphPartitioner` shards, connected by
   hash-shuffle / relocate exchanges over bounded morsel channels, executed
-  by a pool of ``ctx.workers`` threads with a downstream-first scheduler
+  by a pool of ``ctx.options.workers`` threads with a downstream-first scheduler
   (consumers drain before stalled producers retry, which makes the bounded
   channels deadlock-free with fewer threads than pipeline actors);
 * pipeline breakers (Sort, Aggregate, HashJoin, Limit, Dedup, Union) run at
@@ -319,7 +319,7 @@ class DataflowExecutor:
 
     def __init__(self, ctx: ExecutionContext):
         self.ctx = ctx
-        workers = max(1, getattr(ctx, "workers", 1) or 1)
+        workers = ctx.options.workers
         if ctx.partitioner is not None:
             self._exec_partitioner = ctx.partitioner
         else:
@@ -636,11 +636,8 @@ def recover_on_row_engine(root: PhysicalOperator, ctx: ExecutionContext,
     recovery = ExecutionContext(
         ctx.graph,
         partitioner=ctx.partitioner,
-        max_intermediate_results=ctx.max_intermediate_results,
-        timeout_seconds=ctx.timeout_seconds,
-        batch_size=ctx.batch_size,
+        options=ctx.options.override(engine="row", workers=1),
         parameters=ctx.parameters,
-        workers=1,
         cancel_token=ctx.cancel_token,
     )
     recovery._start_time = ctx._start_time

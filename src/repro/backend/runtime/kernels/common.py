@@ -27,7 +27,6 @@ from typing import Dict, Optional, Set
 from repro.backend.runtime.binding import ERef, VRef
 from repro.backend.runtime.columnar import MISSING, OverlayBinding
 from repro.errors import ExecutionError
-from repro.gir.operators import AggregateFunction
 
 #: A binding table row.  The row engines use plain dicts; the columnar
 #: engines use cursor views -- kernels only rely on ``.get`` / ``.items``.
@@ -130,21 +129,6 @@ def merge_rows(left: Row, right: Row) -> Optional[Row]:
             return None
         merged[tag] = value
     return merged
-
-
-def aggregate_function_supported(function) -> bool:
-    return function in _SUPPORTED_AGGREGATES
-
-
-_SUPPORTED_AGGREGATES = frozenset((
-    AggregateFunction.COUNT,
-    AggregateFunction.COUNT_DISTINCT,
-    AggregateFunction.COLLECT,
-    AggregateFunction.SUM,
-    AggregateFunction.MIN,
-    AggregateFunction.MAX,
-    AggregateFunction.AVG,
-))
 
 
 def unknown_aggregate(function) -> ExecutionError:

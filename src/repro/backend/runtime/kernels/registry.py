@@ -67,11 +67,6 @@ def fallback_reason(mode: str, op_type: type) -> Optional[str]:
     return _FALLBACKS[mode].get(op_type)
 
 
-def registered_operators(mode: str) -> Dict[type, Callable]:
-    _check_mode(mode)
-    return dict(_KERNELS[mode])
-
-
 def all_physical_operator_types() -> List[type]:
     """Every concrete PhysicalOperator subclass, transitively."""
     from repro.optimizer.physical_plan import PhysicalOperator

@@ -67,6 +67,15 @@ class CancelledError(ExecutionError):
         self.reason = reason
 
 
+class InvalidOptionError(GOptError, ValueError):
+    """An execution option is out of range or names an unknown engine.
+
+    Also a ``ValueError``: backend constructors have always raised one for a
+    bad ``batch_size`` / ``workers``, sessions a ``GOptError``, and both now
+    share the single validation in ``ExecutionOptions``.
+    """
+
+
 class NotFoundError(GOptError):
     """A named serving resource (session, cursor, prepared statement) does
     not exist -- it expired, was closed, or never existed.

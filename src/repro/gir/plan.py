@@ -63,18 +63,6 @@ class LogicalPlan:
 
         return LogicalPlan(rewrite(self.root))
 
-    def transform_topdown(self, fn: Callable[[LogicalOperator], LogicalOperator]) -> "LogicalPlan":
-        """Top-down rewrite: the parent is rewritten before its children."""
-
-        def rewrite(node: LogicalOperator) -> LogicalOperator:
-            node = fn(node)
-            new_inputs = tuple(rewrite(child) for child in node.inputs)
-            if new_inputs != node.inputs:
-                node = node.with_inputs(new_inputs)
-            return node
-
-        return LogicalPlan(rewrite(self.root))
-
     def clone(self) -> "LogicalPlan":
         return self.transform(lambda node: node)
 

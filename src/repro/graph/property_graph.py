@@ -145,9 +145,6 @@ class PropertyGraph:
             yield from self._vertices_by_type.get(vtype, ())
 
     # -- edge access ----------------------------------------------------------
-    def has_edge_id(self, edge_id: int) -> bool:
-        return edge_id in self._edges
-
     def edge(self, edge_id: int) -> Edge:
         try:
             src, dst, label = self._edges[edge_id]
@@ -170,9 +167,6 @@ class PropertyGraph:
 
     def edge_property(self, edge_id: int, key: str, default=None):
         return self._edge_props.get(edge_id, {}).get(key, default)
-
-    def edge_properties(self, edge_id: int) -> Mapping[str, object]:
-        return self._edge_props.get(edge_id, {})
 
     def edges(self) -> Iterator[int]:
         """Iterate over all edge ids."""

@@ -99,9 +99,6 @@ class GraphSchema:
     def has_vertex_type(self, name: str) -> bool:
         return name in self._vertex_types
 
-    def has_edge_label(self, label: str) -> bool:
-        return any(d.label == label for d in self._edge_defs)
-
     def has_triple(self, src_type: str, label: str, dst_type: str) -> bool:
         return (src_type, label, dst_type) in self._triples
 
@@ -114,9 +111,6 @@ class GraphSchema:
     def vertex_property_type(self, vertex_type: str, prop: str) -> Optional[str]:
         """Datatype of a vertex property, or ``None`` if undeclared."""
         return self.vertex_type_def(vertex_type).properties.get(prop)
-
-    def triples_for_label(self, label: str) -> List[EdgeTypeDef]:
-        return [d for d in self._edge_defs if d.label == label]
 
     # -- connectivity (used by Algorithm 1) --------------------------------
     def out_neighbor_types(self, vertex_type: str) -> FrozenSet[str]:
@@ -140,13 +134,6 @@ class GraphSchema:
         if direction is Direction.IN:
             return self.in_neighbor_types(vertex_type)
         return self.out_neighbor_types(vertex_type) | self.in_neighbor_types(vertex_type)
-
-    def edge_labels_for(self, vertex_type: str, direction: Direction) -> FrozenSet[str]:
-        if direction is Direction.OUT:
-            return self.out_edge_labels(vertex_type)
-        if direction is Direction.IN:
-            return self.in_edge_labels(vertex_type)
-        return self.out_edge_labels(vertex_type) | self.in_edge_labels(vertex_type)
 
     def edge_labels_between(
         self,

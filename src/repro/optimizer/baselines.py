@@ -69,10 +69,6 @@ def plan_from_vertex_order(
     return node
 
 
-def connected_orders_exist(pattern: PatternGraph) -> bool:
-    return pattern.is_connected() and pattern.num_vertices >= 1
-
-
 class CypherPlannerBaseline:
     """Neo4j-CypherPlanner-like greedy planner on low-order statistics."""
 

@@ -1,5 +1,5 @@
 """Thread-safe LRU plan cache shared by :class:`~repro.service.GraphService`
-sessions (and the legacy :class:`~repro.api.GOpt` facade).
+sessions.
 
 Repeated parameterized queries dominate production traffic; parsing and
 optimizing them anew on every call wastes the whole optimizer budget on work
@@ -13,7 +13,7 @@ built from:
 * a parameter signature.  Which signature depends on how parameters reach
   the plan:
 
-  - **inline** (the legacy ``GOpt`` path): the Cypher front-end inlines
+  - **inline** (``GraphService.optimize``): the Cypher front-end inlines
     ``$param`` values as literals before parsing, so the key must carry the
     full signature -- names, **types** and values
     (:func:`parameter_signature`).  Types are explicit because ``1``,

@@ -23,12 +23,10 @@ Per-tenant quotas come for free: the tenant id is the admission client, so
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.backend.base import _UNSET
-from repro.backend.runtime.context import CancellationToken
+from repro.backend.runtime.context import InFlightTokens
 from repro.errors import (
     ExecutionTimeout,
     GOptError,
@@ -47,6 +45,7 @@ from repro.server.wire import (
     SessionWire,
 )
 from repro.service.admission import AdmissionController
+from repro.service.session import Session
 from repro.testing.faults import fault_point
 
 #: endpoints that execute query work and therefore pass admission control
@@ -97,18 +96,9 @@ class ServerApp:
         default_fetch_size: int = 512,
     ):
         self.service = service
-        if admission is not None:
-            self.admission: Optional[AdmissionController] = admission
-        elif (max_queue_depth is not None or queue_timeout_seconds is not None
-                or per_tenant_limit is not None):
-            self.admission = AdmissionController(
-                max_concurrent=max_concurrent,
-                max_queue_depth=max_queue_depth,
-                queue_timeout_seconds=queue_timeout_seconds,
-                per_client_limit=per_tenant_limit,
-            )
-        else:
-            self.admission = None
+        self.admission = AdmissionController.for_front_end(
+            admission, max_concurrent, max_queue_depth, queue_timeout_seconds,
+            per_tenant_limit)
         #: token -> tenant; when set, every /v1 request must present a
         #: matching ``Authorization: Bearer`` token
         self.tokens = dict(tokens) if tokens else None
@@ -117,8 +107,7 @@ class ServerApp:
             cursor_ttl_seconds=cursor_ttl_seconds)
         self.counters = ServerCounters()
         self.default_fetch_size = default_fetch_size
-        self._active_lock = threading.Lock()
-        self._active_tokens: set = set()
+        self._active = InFlightTokens()
         self._closed = False
 
     # -- dispatch ----------------------------------------------------------------
@@ -249,19 +238,16 @@ class ServerApp:
 
     def handle_create_session(self, tenant: str, payload: Dict[str, object]) -> Response:
         self.counters.record_request(tenant, "sessions")
-        engine = payload.get("engine")
-        session = self.service.session(
-            engine=engine,
-            timeout_seconds=payload.get("timeout_seconds", _UNSET),
-            batch_size=payload.get("batch_size"),
-            workers=payload.get("workers"),
-        )
+        session = self.service.session(**{
+            name: payload[name] for name in (
+                "engine", "timeout_seconds", "batch_size", "workers")
+            if name in payload})
         ttl = payload.get("ttl_seconds")
         entry = self.registry.create_session(
-            tenant, session, engine=engine,
-            ttl_seconds=None if ttl is None else float(ttl))
+            tenant, session, ttl_seconds=None if ttl is None else float(ttl))
         return Response.json(SessionWire(
-            session_id=entry.session_id, tenant=tenant, engine=engine,
+            session_id=entry.session_id, tenant=tenant,
+            engine=payload.get("engine"),
             ttl_seconds=entry.ttl_seconds).to_dict(), status=201)
 
     def handle_close_session(self, tenant: str, session_id: str) -> Response:
@@ -288,16 +274,15 @@ class ServerApp:
     def handle_query(self, tenant: str, payload: Dict[str, object],
                      deadline: Optional[float]) -> Response:
         entry, query, language, parameters = self._resolve_query(tenant, payload)
-        engine = payload.get("engine") or (entry.engine if entry else None)
-        session, ephemeral = self._session_for(entry, engine, deadline)
+        session, ephemeral = self._session_for(
+            entry, payload.get("engine"), deadline)
         try:
             if payload.get("cursor"):
                 cursor = session.run(query, language, parameters)
                 if entry is None:
                     # a cursor must outlive this request: give it a registry
                     # session to own it (and be TTL-swept through)
-                    entry = self.registry.create_session(tenant, session,
-                                                         engine=engine)
+                    entry = self.registry.create_session(tenant, session)
                     ephemeral = False
                 held = self.registry.register_cursor(entry, query, cursor)
                 return Response.json(CursorWire(
@@ -315,10 +300,7 @@ class ServerApp:
         max_rows = payload.get("max_rows")
         if max_rows is not None and (not isinstance(max_rows, int) or max_rows < 0):
             raise GOptError("max_rows must be a non-negative integer")
-        token = CancellationToken()
-        with self._active_lock:
-            self._active_tokens.add(token)
-        try:
+        with self._active.track() as token:
             cursor = session.run(query, language, parameters,
                                  cancel_token=token)
             if max_rows is None:
@@ -332,9 +314,6 @@ class ServerApp:
             exchange_stats = cursor.exchange_stats
             worker_busy = cursor.worker_busy
             metrics = cursor.consume()
-        finally:
-            with self._active_lock:
-                self._active_tokens.discard(token)
         if timed_out:
             raise ExecutionTimeout(
                 "query exceeded its deadline after %d rows" % len(rows),
@@ -351,8 +330,7 @@ class ServerApp:
 
     def handle_explain(self, tenant: str, payload: Dict[str, object]) -> Response:
         entry, query, language, parameters = self._resolve_query(tenant, payload)
-        session, ephemeral = self._session_for(
-            entry, payload.get("engine") or (entry.engine if entry else None), None)
+        session, ephemeral = self._session_for(entry, payload.get("engine"), None)
         try:
             if parameters:
                 report = session.prepare(query, language).report(parameters)
@@ -441,26 +419,25 @@ class ServerApp:
                      engine: Optional[str], deadline: Optional[float]):
         """The in-process session a request executes on.
 
-        A per-request deadline always gets a fresh session (timeouts are
-        fixed at session construction); otherwise a registry session is
-        reused as-is.  Returns ``(session, ephemeral)`` -- ephemeral
-        sessions are closed by the caller when the request finishes.
+        The request's options are its registry session's (the backend's
+        defaults without one) with the body's ``engine`` and the deadline
+        header applied.  A registry session whose options those already are
+        is reused as-is; anything else gets a fresh session (options are
+        fixed at session construction).  Returns ``(session, ephemeral)`` --
+        ephemeral sessions are closed by the caller when the request finishes.
         """
-        if deadline is not None or entry is None:
-            session = self.service.session(
-                engine=engine,
-                timeout_seconds=deadline if deadline is not None else _UNSET)
-            return session, True
-        return entry.session, False
+        options = (entry.session.options if entry is not None
+                   else self.service.backend.options).override(engine=engine)
+        if deadline is not None:
+            options = options.override(timeout_seconds=deadline)
+        if entry is not None and options == entry.session.options:
+            return entry.session, False
+        return Session(self.service, options), True
 
     # -- lifecycle ---------------------------------------------------------------
     def cancel_active(self, reason: str = "server shutdown") -> int:
         """Cancel every in-flight materialized execution."""
-        with self._active_lock:
-            tokens = list(self._active_tokens)
-        for token in tokens:
-            token.cancel(reason)
-        return len(tokens)
+        return self._active.cancel_all(reason)
 
     def shutdown(self) -> None:
         """Cancel in-flight work and close every session and cursor."""

@@ -26,8 +26,8 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
+from repro.backend.base import ResultCursor
 from repro.errors import NotFoundError
-from repro.service.cursor import ResultCursor
 from repro.service.session import PreparedQuery, Session
 
 
@@ -58,11 +58,10 @@ class ServerSession:
     """One tenant's server-side session: settings, statements, cursors."""
 
     def __init__(self, session_id: str, tenant: str, session: Session,
-                 engine: Optional[str], ttl_seconds: float):
+                 ttl_seconds: float):
         self.session_id = session_id
         self.tenant = tenant
         self.session = session
-        self.engine = engine
         self.ttl_seconds = ttl_seconds
         self.last_used = time.monotonic()
         self.statements: Dict[str, PreparedQuery] = {}
@@ -95,13 +94,11 @@ class SessionRegistry:
 
     # -- sessions ---------------------------------------------------------------
     def create_session(self, tenant: str, session: Session,
-                       engine: Optional[str] = None,
                        ttl_seconds: Optional[float] = None) -> ServerSession:
         entry = ServerSession(
             session_id=self._next_id("s"),
             tenant=tenant,
             session=session,
-            engine=engine,
             ttl_seconds=(self.session_ttl_seconds if ttl_seconds is None
                          else ttl_seconds),
         )

@@ -121,6 +121,29 @@ class AdmissionController:
         # EWMA of observed execution latency, seeding the retry-after hint
         self._latency_ewma = 0.1
 
+    @classmethod
+    def for_front_end(
+        cls,
+        admission: Optional["AdmissionController"],
+        max_concurrent: int,
+        max_queue_depth: Optional[int],
+        queue_timeout_seconds: Optional[float],
+        per_client_limit: Optional[int],
+    ) -> Optional["AdmissionController"]:
+        """The controller a serving front end (executor, HTTP app) runs under.
+
+        A given (possibly shared) ``admission`` wins; otherwise one is built
+        when any of the three limits is set; with none set the front end is
+        unbounded and this returns ``None``.
+        """
+        if admission is not None:
+            return admission
+        if (max_queue_depth is None and queue_timeout_seconds is None
+                and per_client_limit is None):
+            return None
+        return cls(max_concurrent, max_queue_depth, queue_timeout_seconds,
+                   per_client_limit)
+
     # -- the admission decision -------------------------------------------------
     def admit(self, client: Optional[str] = None) -> AdmissionTicket:
         """Admit one request or fast-reject with a retry-after hint.

@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
-import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, List, Optional, Sequence, Union
 
-from repro.backend.base import ExecutionMetrics, _UNSET
-from repro.backend.runtime.context import CancellationToken
+from repro.backend.base import ExecutionMetrics
+from repro.backend.runtime.context import InFlightTokens
 from repro.errors import GOptError, ServiceOverloadedError, WorkerFailure
 from repro.service.admission import AdmissionController, AdmissionStats, AdmissionTicket
+from repro.service.session import Session
 from repro.testing.faults import fault_point
 
 #: how many times run_all() re-attempts a fast-rejected submission before
@@ -68,10 +68,11 @@ class ConcurrentExecutor:
 
     Each submitted query runs in its own short-lived session on a worker
     thread, with an optional per-query ``deadline_seconds`` that overrides
-    the backend's timeout for that query only.  Failures are captured per
-    query (``QueryOutcome.error``) instead of tearing the pool down, and a
-    query that exceeds its deadline reports ``timed_out`` like any other
-    over-budget execution.
+    the backend's timeout for that query only (``None``, like a request
+    without ``X-Deadline-Seconds``, keeps the backend's).  Failures are
+    captured per query (``QueryOutcome.error``) instead of tearing the pool
+    down, and a query that exceeds its deadline reports ``timed_out`` like
+    any other over-budget execution.
 
     Overload protection is opt-in: passing ``max_queue_depth``,
     ``queue_timeout_seconds`` or ``per_client_limit`` (or a shared
@@ -101,7 +102,7 @@ class ConcurrentExecutor:
         self,
         service,
         max_workers: int = 8,
-        deadline_seconds=_UNSET,
+        deadline_seconds: Optional[float] = None,
         engine: Optional[str] = None,
         max_queue_depth: Optional[int] = None,
         queue_timeout_seconds: Optional[float] = None,
@@ -115,24 +116,16 @@ class ConcurrentExecutor:
         if max_retries < 0:
             raise GOptError("max_retries must be >= 0")
         self._service = service
-        self._deadline_seconds = deadline_seconds
-        self._engine = engine
+        # resolved once; every query's session runs under this one value
+        self._options = service.backend.options.override(engine=engine)
+        if deadline_seconds is not None:
+            self._options = self._options.override(timeout_seconds=deadline_seconds)
         self._max_retries = max_retries
         self._retry_backoff = retry_backoff_seconds
-        if admission is not None:
-            self._admission: Optional[AdmissionController] = admission
-        elif (max_queue_depth is not None or queue_timeout_seconds is not None
-                or per_client_limit is not None):
-            self._admission = AdmissionController(
-                max_concurrent=max_workers,
-                max_queue_depth=max_queue_depth,
-                queue_timeout_seconds=queue_timeout_seconds,
-                per_client_limit=per_client_limit,
-            )
-        else:
-            self._admission = None
-        self._active_lock = threading.Lock()
-        self._active_tokens: Set[CancellationToken] = set()
+        self._admission = AdmissionController.for_front_end(
+            admission, max_workers, max_queue_depth, queue_timeout_seconds,
+            per_client_limit)
+        self._active = InFlightTokens()
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-serve")
 
@@ -227,36 +220,28 @@ class ConcurrentExecutor:
     def _attempt_with_retries(self, request: QueryRequest) -> QueryOutcome:
         attempts = self._max_retries + 1
         for attempt in range(1, attempts + 1):
-            token = CancellationToken()
-            with self._active_lock:
-                self._active_tokens.add(token)
-            try:
-                fault_point("service.execute", attempt=attempt,
-                            client=request.client)
-                with self._service.session(
-                    engine=self._engine,
-                    timeout_seconds=self._deadline_seconds,
-                ) as session:
-                    cursor = session.run(request.query, request.language,
-                                         request.parameters, cancel_token=token)
-                    rows = cursor.fetch_all()
-                    metrics = cursor.consume()
-                    return QueryOutcome(request=request, rows=rows,
-                                        metrics=metrics, attempts=attempt)
-            except WorkerFailure as exc:
-                # infrastructure fault: transient by assumption, worth a
-                # bounded re-run -- unless this execution was cancelled
-                if attempt < attempts and not token.cancelled:
-                    time.sleep(self._retry_backoff * (2 ** (attempt - 1)))
-                    continue
-                return QueryOutcome(request=request, attempts=attempt,
-                                    error="%s: %s" % (type(exc).__name__, exc))
-            except Exception as exc:  # noqa: BLE001 - per-query fault isolation
-                return QueryOutcome(request=request, attempts=attempt,
-                                    error="%s: %s" % (type(exc).__name__, exc))
-            finally:
-                with self._active_lock:
-                    self._active_tokens.discard(token)
+            with self._active.track() as token:
+                try:
+                    fault_point("service.execute", attempt=attempt,
+                                client=request.client)
+                    with Session(self._service, self._options) as session:
+                        cursor = session.run(request.query, request.language,
+                                             request.parameters, cancel_token=token)
+                        rows = cursor.fetch_all()
+                        metrics = cursor.consume()
+                        return QueryOutcome(request=request, rows=rows,
+                                            metrics=metrics, attempts=attempt)
+                except WorkerFailure as exc:
+                    # infrastructure fault: transient by assumption, worth a
+                    # bounded re-run -- unless this execution was cancelled
+                    if attempt < attempts and not token.cancelled:
+                        time.sleep(self._retry_backoff * (2 ** (attempt - 1)))
+                        continue
+                    return QueryOutcome(request=request, attempts=attempt,
+                                        error="%s: %s" % (type(exc).__name__, exc))
+                except Exception as exc:  # noqa: BLE001 - per-query fault isolation
+                    return QueryOutcome(request=request, attempts=attempt,
+                                        error="%s: %s" % (type(exc).__name__, exc))
         raise AssertionError("unreachable: retry loop always returns")
 
     # -- lifecycle ---------------------------------------------------------------
@@ -267,11 +252,7 @@ class ConcurrentExecutor:
         kernel-batch checkpoint and reports ``CancelledError`` as its
         outcome's error.
         """
-        with self._active_lock:
-            tokens = list(self._active_tokens)
-        for token in tokens:
-            token.cancel(reason)
-        return len(tokens)
+        return self._active.cancel_all(reason)
 
     def shutdown(self, wait: bool = True, cancel: bool = False) -> None:
         """Stop accepting work and (optionally) cancel in-flight queries.

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Optional, Tuple, Union
 
 from repro.backend import Backend, GraphScopeLikeBackend, Neo4jLikeBackend
-from repro.backend.base import _UNSET
 from repro.errors import GOptError, ParseError
 from repro.gir.expressions import Expr
 from repro.gir.plan import LogicalPlan
@@ -119,27 +118,21 @@ class GraphService:
         raise GOptError("unknown backend %r (expected 'neo4j' or 'graphscope')" % (backend,))
 
     # -- sessions --------------------------------------------------------------
-    def session(
-        self,
-        engine: Optional[str] = None,
-        timeout_seconds=_UNSET,
-        max_intermediate_results=_UNSET,
-        batch_size: Optional[int] = None,
-        workers: Optional[int] = None,
-    ) -> "Session":
+    def session(self, **overrides) -> "Session":
         """Open a session with optional per-session execution overrides.
 
-        Overrides default to the backend's configuration; they apply to every
-        query the session runs without touching shared backend state.
-        ``workers`` sets the dataflow engine's worker-thread count for this
-        session (sessions of one service can run the same plans at different
-        parallelism).
+        ``overrides`` are the keywords of
+        :meth:`ExecutionOptions.override
+        <repro.backend.ExecutionOptions.override>` -- ``engine``,
+        ``timeout_seconds``, ``max_intermediate_results``, ``batch_size``,
+        ``workers`` -- resolved here, once, against the backend's defaults;
+        they apply to every query the session runs without touching shared
+        backend state (sessions of one service can run the same plans on
+        different engines or at different dataflow parallelism).
         """
         from repro.service.session import Session
 
-        return Session(self, engine=engine, timeout_seconds=timeout_seconds,
-                       max_intermediate_results=max_intermediate_results,
-                       batch_size=batch_size, workers=workers)
+        return Session(self, self.backend.options.override(**overrides))
 
     def executor(self, max_workers: int = 8, **options) -> "ConcurrentExecutor":
         """Open a :class:`~repro.service.ConcurrentExecutor` over this service.
@@ -187,7 +180,7 @@ class GraphService:
         """
         return (
             self.backend.name,
-            engine or self.backend.engine,
+            engine or self.backend.options.engine,
             self.graph.num_vertices,
             self.graph.num_edges,
             repr(self.optimizer.config),
@@ -241,7 +234,7 @@ class GraphService:
         parameters: Optional[Dict[str, object]] = None,
         engine: Optional[str] = None,
     ) -> OptimizationReport:
-        """Optimize a query with parameter values *inlined* (the legacy path).
+        """Optimize a query with parameter values *inlined*.
 
         Text queries are served from the plan cache keyed on the full
         parameter signature -- names, types **and values** -- because the

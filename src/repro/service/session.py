@@ -4,49 +4,33 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set, Tuple, Union
 
-from repro.backend.base import _UNSET
+from repro.backend.base import ExecutionOptions, ResultCursor
 from repro.errors import GOptError
 from repro.gir.plan import LogicalPlan
 from repro.optimizer.planner import OptimizationReport
 from repro.plan_cache import normalize_query_text
-from repro.service.cursor import ResultCursor
 
 
 class Session:
     """A lightweight client handle on a :class:`GraphService`.
 
-    Sessions carry per-session execution overrides -- ``engine``,
-    ``timeout_seconds``, ``max_intermediate_results``, ``batch_size``,
-    ``workers`` (dataflow engine thread count) -- that apply to every query
-    the session runs, without mutating the shared backend.  Many sessions of
-    one service can run concurrently; the service's plan cache, optimizer
-    and graph are all safe to share.
+    A session runs every query under one
+    :class:`~repro.backend.ExecutionOptions` value (:attr:`options`) --
+    the backend's defaults with this session's overrides of ``engine``,
+    ``timeout_seconds``, ``max_intermediate_results``, ``batch_size`` and
+    ``workers`` (dataflow engine thread count) applied -- resolved once,
+    when :meth:`GraphService.session` opens it, and never by mutating the
+    shared backend.  Many sessions of one service can run concurrently; the
+    service's plan cache, optimizer and graph are all safe to share.
 
     Sessions are cheap: open one per logical client or unit of work, and
     ``close()`` (or use as a context manager) when done.
     """
 
-    def __init__(
-        self,
-        service,
-        engine: Optional[str] = None,
-        timeout_seconds=_UNSET,
-        max_intermediate_results=_UNSET,
-        batch_size: Optional[int] = None,
-        workers: Optional[int] = None,
-    ):
-        from repro.backend.base import validate_engine
-
-        if engine is not None:
-            validate_engine(engine)
-        if workers is not None and workers < 1:
-            raise GOptError("workers must be >= 1")
+    def __init__(self, service, options: ExecutionOptions):
         self._service = service
-        self._engine = engine
-        self._timeout_seconds = timeout_seconds
-        self._max_intermediate_results = max_intermediate_results
-        self._batch_size = batch_size
-        self._workers = workers
+        #: the resolved options every query of this session executes under
+        self.options = options
         self._closed = False
 
     # -- properties -------------------------------------------------------------
@@ -56,15 +40,13 @@ class Session:
 
     @property
     def engine(self) -> str:
-        """The effective execution engine (session override or backend default)."""
-        return self._engine or self._service.backend.engine
+        """The execution engine this session's queries run on."""
+        return self.options.engine
 
     @property
     def workers(self) -> int:
-        """The effective dataflow worker count (override or backend default)."""
-        if self._workers is not None:
-            return self._workers
-        return self._service.backend.workers
+        """The dataflow worker count this session's queries run with."""
+        return self.options.workers
 
     # -- lifecycle --------------------------------------------------------------
     def close(self) -> None:
@@ -146,17 +128,10 @@ class Session:
         parameters: Optional[Dict[str, object]],
         cancel_token=None,
     ) -> ResultCursor:
-        stream = self._service.backend.execute_streaming(
-            report.physical_plan,
-            engine=self._engine,
-            parameters=parameters,
-            timeout_seconds=self._timeout_seconds,
-            max_intermediate_results=self._max_intermediate_results,
-            batch_size=self._batch_size,
-            workers=self._workers,
-            cancel_token=cancel_token,
-        )
-        return ResultCursor(stream, report=report)
+        cursor = self._service.backend.execute_streaming(
+            report.physical_plan, parameters, cancel_token, options=self.options)
+        cursor.report = report
+        return cursor
 
 
 class PreparedQuery:
@@ -171,8 +146,8 @@ class PreparedQuery:
 
     Templates the grammar cannot defer (parameters in ``LIMIT``, property
     maps or hop ranges) fall back to *inline* mode: each distinct value set
-    is inlined and cached under the full value signature, which is the
-    legacy ``GOpt`` behavior.
+    is inlined and cached under the full value signature, exactly like
+    :meth:`GraphService.optimize` with ``parameters``.
     """
 
     def __init__(self, session: Session, query: str, language: str = "cypher"):

@@ -13,7 +13,7 @@ dataflow engine gathers first, so it may only do *more* work.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import GOpt
+from repro import GraphService
 from repro.backend import GraphScopeLikeBackend, Neo4jLikeBackend
 from repro.bench.pipelines import build_optimizer
 from repro.graph.property_graph import PropertyGraph
@@ -144,8 +144,8 @@ def test_gremlin_queries_engines_agree(backends, optimizers):
 def test_path_queries_engines_agree(finance):
     """Variable-length path plans (PathExpand) through both engines."""
     graph, id_sets = finance
-    gopt = GOpt.for_graph(graph, backend="graphscope", num_partitions=2,
-                          max_intermediate_results=500_000, timeout_seconds=30.0)
+    gopt = GraphService(graph, backend="graphscope", num_partitions=2,
+                        max_intermediate_results=500_000, timeout_seconds=30.0)
     report = gopt.optimize(
         "MATCH (a:Account)-[t:TRANSFERS*1..3]->(b:Account) "
         "RETURN b.id AS target, count(a) AS cnt ORDER BY cnt DESC, target LIMIT 10")
@@ -186,7 +186,7 @@ class TestPropertyBasedEquivalence:
     @settings(max_examples=15, deadline=None)
     @given(random_graphs(), st.sampled_from(CYPHER_QUERIES))
     def test_random_graphs_engines_agree(self, graph, cypher):
-        gopt = GOpt.for_graph(graph, backend="graphscope", num_partitions=2,
-                              timeout_seconds=30.0, plan_cache_size=None)
+        gopt = GraphService(graph, backend="graphscope", num_partitions=2,
+                            timeout_seconds=30.0, plan_cache_size=None)
         report = gopt.optimize(cypher)
         assert_engines_agree(gopt.backend, report.physical_plan, label=cypher)

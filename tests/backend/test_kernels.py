@@ -17,7 +17,7 @@ import gc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import GOpt
+from repro import GraphService
 from repro.backend.runtime.context import ExecutionContext
 from repro.backend.runtime.kernels import registry
 from repro.backend.runtime.kernels.state import TopKState, sort_permutation
@@ -102,8 +102,8 @@ class TestMixedTypeValueParity:
     @given(st.lists(MIXED_VALUES, min_size=1, max_size=12))
     def test_all_engines_sort_and_dedup_identically(self, values):
         graph = _mixed_graph(values)
-        gopt = GOpt.for_graph(graph, backend="graphscope", num_partitions=2,
-                              timeout_seconds=30.0, plan_cache_size=None)
+        gopt = GraphService(graph, backend="graphscope", num_partitions=2,
+                            timeout_seconds=30.0, plan_cache_size=None)
         for query in (
             "MATCH (a:Thing) RETURN a.score AS s ORDER BY s",
             "MATCH (a:Thing) RETURN a.score AS s ORDER BY s DESC LIMIT 3",

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.backend.runtime.binding import ERef, PRef, VRef
-from repro.backend.runtime.context import ExecutionContext
+from repro.backend.runtime.context import ExecutionContext, ExecutionOptions
 from repro.backend.runtime.streaming import execute_operator
 from repro.errors import ExecutionTimeout
 from repro.gir.expressions import parse_expression
@@ -282,13 +282,14 @@ class TestRelationalOperators:
 
 class TestBudgetsAndCaching:
     def test_intermediate_budget_enforced(self, tiny_graph):
-        ctx = ExecutionContext(tiny_graph, max_intermediate_results=2)
+        ctx = ExecutionContext(
+            tiny_graph, options=ExecutionOptions(max_intermediate_results=2))
         with pytest.raises(ExecutionTimeout):
             execute_operator(scan("a", "Person"), ctx)
 
     def test_batch_size_below_one_rejected(self, tiny_graph):
         with pytest.raises(ValueError):
-            ExecutionContext(tiny_graph, batch_size=0)
+            ExecutionContext(tiny_graph, options=ExecutionOptions(batch_size=0))
 
     def test_operator_result_cache_by_identity(self, tiny_graph):
         ctx = ExecutionContext(tiny_graph)

@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from repro import GOpt
+from repro import GraphService
 from repro.backend import GraphScopeLikeBackend
 
 #: the three seeds the CI chaos job pins (documentation; the job sets the env)
@@ -26,9 +26,9 @@ def chaos_seed():
 @pytest.fixture(scope="module")
 def gopt(ldbc_graph):
     """Optimizer + partitioned backend (degradation fallback ON, the default)."""
-    return GOpt.for_graph(ldbc_graph, backend="graphscope", num_partitions=4,
-                          max_intermediate_results=500_000, timeout_seconds=30.0,
-                          plan_cache_size=None)
+    return GraphService(ldbc_graph, backend="graphscope", num_partitions=4,
+                        max_intermediate_results=500_000, timeout_seconds=30.0,
+                        plan_cache_size=None)
 
 
 @pytest.fixture()

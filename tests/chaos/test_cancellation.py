@@ -44,8 +44,9 @@ class TestCancellationPromptness:
         token = CancellationToken()
         rules = [FaultRule("worker.kernel", action="call", at_hits=[1],
                            callback=lambda site, info: token.cancel("chaos"))]
-        ctx = gopt.backend._make_context(batch_size=batch, workers=workers,
-                                         cancel_token=token)
+        ctx = gopt.backend._make_context(
+            gopt.backend.options.override(batch_size=batch, workers=workers),
+            cancel_token=token)
         with FaultInjector(seed=chaos_seed, rules=rules) as injector:
             with pytest.raises(CancelledError):
                 DataflowExecutor(ctx).run(report.physical_plan.root)
@@ -59,7 +60,8 @@ class TestCancellationPromptness:
         report = gopt.optimize(THREE_HOP)
         token = CancellationToken()
         token.cancel("pre-cancelled")
-        ctx = gopt.backend._make_context(workers=4, cancel_token=token)
+        ctx = gopt.backend._make_context(
+            gopt.backend.options.override(workers=4), cancel_token=token)
         with pytest.raises(CancelledError) as excinfo:
             DataflowExecutor(ctx).run(report.physical_plan.root)
         assert excinfo.value.reason == "pre-cancelled"

@@ -11,7 +11,7 @@ layer.
 
 import pytest
 
-from repro import GOpt, GraphService
+from repro import GraphService
 from repro.backend import GraphScopeLikeBackend
 from repro.backend.runtime.dataflow import (
     BROADCAST_THRESHOLD,
@@ -40,9 +40,9 @@ TWO_HOP = ("MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person) "
 
 @pytest.fixture(scope="module")
 def ldbc_gopt(ldbc_graph):
-    return GOpt.for_graph(ldbc_graph, backend="graphscope", num_partitions=4,
-                          max_intermediate_results=500_000, timeout_seconds=30.0,
-                          plan_cache_size=None)
+    return GraphService(ldbc_graph, backend="graphscope", num_partitions=4,
+                        max_intermediate_results=500_000, timeout_seconds=30.0,
+                        plan_cache_size=None)
 
 
 class TestDeterminism:
@@ -116,8 +116,8 @@ class TestExchangeParity:
 
     def test_single_machine_backend_charges_no_shuffles(self, ldbc_graph):
         """neo4j-like: workers still parallelize, but no communication cost."""
-        gopt = GOpt.for_graph(ldbc_graph, backend="neo4j", workers=4,
-                              plan_cache_size=None)
+        gopt = GraphService(ldbc_graph, backend="neo4j", workers=4,
+                            plan_cache_size=None)
         report = gopt.optimize(TWO_HOP)
         row = gopt.backend.execute(report.physical_plan, engine="row")
         dataflow = gopt.backend.execute(report.physical_plan, engine="dataflow")
@@ -231,7 +231,7 @@ class TestServiceIntegration:
     def test_budget_overrun_flags_timeout(self, ldbc_graph):
         backend = GraphScopeLikeBackend(ldbc_graph, num_partitions=4,
                                         max_intermediate_results=50)
-        gopt = GOpt.for_graph(ldbc_graph, backend=backend, plan_cache_size=None)
+        gopt = GraphService(ldbc_graph, backend=backend, plan_cache_size=None)
         report = gopt.optimize(TWO_HOP)
         row = backend.execute(report.physical_plan, engine="row")
         dataflow = backend.execute(report.physical_plan, engine="dataflow")

@@ -1,6 +1,6 @@
 """Golden explain-plan regression tests.
 
-``GOpt.explain()`` output (optimized logical plan + physical plan + estimated
+``OptimizationReport.explain()`` output (optimized logical plan + physical plan + estimated
 cost) is snapshotted for a fixed set of micro and LDBC queries on both
 backend profiles.  Optimizer refactors that silently change the chosen plan
 for any of these queries fail here with a readable diff.

@@ -65,7 +65,7 @@ class TestConcurrentExecutor:
                 "MATCH (p:Person)-[:Knows]->(f:Person) RETURN f.name AS n").result()
         assert outcome.ok and outcome.timed_out and outcome.rows == []
         # the deadline override never touches the shared backend budget
-        assert service.backend.timeout_seconds not in (0, 0.0)
+        assert service.backend.options.timeout_seconds not in (0, 0.0)
 
     def test_invalid_worker_count(self, service):
         with pytest.raises(GOptError):

@@ -2,11 +2,18 @@
 
 import pytest
 
-from repro import GOpt, GraphService
+from repro import GraphService
 from repro.errors import GOptError
 from repro.plan_cache import freeze_type, parameter_type_signature
 
 TEMPLATE = "MATCH (p:Person) WHERE p.id IN $ids RETURN p.name AS name"
+
+
+def inlined_rows(graph, query, parameters):
+    """Rows of ``query`` on a fresh service, values inlined, run to completion."""
+    reference = GraphService(graph, backend="graphscope", num_partitions=2)
+    report = reference.optimize(query, "cypher", parameters)
+    return reference.backend.execute(report.physical_plan).rows
 
 
 @pytest.fixture()
@@ -19,7 +26,7 @@ class TestTypeOnlyKeying:
     def test_n_distinct_values_one_entry(self, service):
         """Regression: parameter *values* must not fan out cache entries.
 
-        The legacy facade keys inlined plans on full value signatures, so a
+        ``GraphService.optimize`` keys inlined plans on full value signatures, so a
         parameterized workload re-optimizes per value; prepared statements
         must collapse N distinct value sets to one entry with N-1 hits.
         """
@@ -61,12 +68,11 @@ class TestTypeOnlyKeying:
         assert (info.size, info.misses, info.hits) == (2, 2, 1)
 
     def test_results_match_inlined_execution(self, service, social_graph):
-        gopt = GOpt.for_graph(social_graph, backend="graphscope", num_partitions=2)
         with service.session() as session:
             prepared = session.prepare(TEMPLATE)
             for ids in ([0, 1], [5, 6, 7], [39]):
                 assert (prepared.run({"ids": ids}).fetch_all()
-                        == gopt.execute_cypher(TEMPLATE, parameters={"ids": ids}).rows)
+                        == inlined_rows(social_graph, TEMPLATE, {"ids": ids}))
 
     def test_prepared_without_shared_cache_still_reuses_plan(self, social_graph, monkeypatch):
         service = GraphService(social_graph, backend="neo4j", plan_cache_size=None)
@@ -162,13 +168,12 @@ class TestInlineFallback:
         # inline plans are value-keyed: one entry per distinct value set
         assert service.cache_info().size == 2
 
-    def test_fallback_matches_gopt(self, service, social_graph):
-        gopt = GOpt.for_graph(social_graph, backend="graphscope", num_partitions=2)
+    def test_fallback_matches_inlined_execution(self, service, social_graph):
         query = "MATCH (p:Person) RETURN p.name AS n LIMIT $n"
         with service.session() as session:
             prepared = session.prepare(query)
             assert (prepared.run({"n": 7}).fetch_all()
-                    == gopt.execute_cypher(query, parameters={"n": 7}).rows)
+                    == inlined_rows(social_graph, query, {"n": 7}))
 
 
 class TestTypeSignatures:

@@ -1,8 +1,8 @@
-"""Tests for GraphService sessions: overrides, lifecycle, GOpt parity."""
+"""Tests for GraphService sessions: overrides, lifecycle, materialized parity."""
 
 import pytest
 
-from repro import GOpt, GraphService
+from repro import GraphService
 from repro.backend import Neo4jLikeBackend
 from repro.errors import GOptError
 
@@ -15,11 +15,12 @@ def service(social_graph):
 
 
 class TestGraphService:
-    def test_session_run_matches_gopt(self, service, social_graph):
-        gopt = GOpt.for_graph(social_graph, backend="graphscope", num_partitions=2)
+    def test_session_run_matches_materialized_execution(self, service, social_graph):
+        reference = GraphService(social_graph, backend="graphscope", num_partitions=2)
         with service.session() as session:
             rows = session.run(QUERY).fetch_all()
-        assert rows == gopt.execute_cypher(QUERY).rows
+        assert rows == reference.backend.execute(
+            reference.optimize(QUERY).physical_plan).rows
 
     def test_backend_selection_and_passthrough(self, social_graph):
         assert GraphService(social_graph, backend="neo4j").backend.name == "neo4j"
@@ -55,7 +56,7 @@ class TestSessionOverrides:
         with service.session(engine="vectorized") as vec, service.session() as row:
             assert vec.engine == "vectorized"
             assert row.engine == "row"
-            assert service.backend.engine == "row"  # shared state untouched
+            assert service.backend.options.engine == "row"  # shared state untouched
             assert vec.run(QUERY).fetch_all() == row.run(QUERY).fetch_all()
 
     def test_unknown_engine_rejected(self, service):
@@ -103,17 +104,3 @@ class TestSessionLifecycle:
         assert not second.closed
         assert second.run("MATCH (p:Person) RETURN count(p) AS c").fetch_all()
         second.close()
-
-
-class TestGOptShim:
-    def test_gopt_exposes_service(self, social_graph):
-        gopt = GOpt.for_graph(social_graph, backend="neo4j")
-        assert isinstance(gopt.service, GraphService)
-        assert gopt.service.backend is gopt.backend
-        assert gopt.service.optimizer is gopt.optimizer
-
-    def test_shim_and_service_share_plan_cache(self, social_graph):
-        gopt = GOpt.for_graph(social_graph, backend="neo4j")
-        gopt.execute_cypher("MATCH (p:Person) RETURN count(p) AS c")
-        assert gopt.service.cache_info() == gopt.cache_info()
-        assert gopt.cache_info().misses == 1

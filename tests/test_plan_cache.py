@@ -1,10 +1,10 @@
-"""Unit tests for the shared LRU plan cache (GOpt facade + service layer)."""
+"""Unit tests for the shared LRU plan cache (through ``GraphService``)."""
 
 import threading
 
 import pytest
 
-from repro import GOpt
+from repro import GraphService
 from repro.optimizer.planner import OptimizerConfig
 from repro.plan_cache import (
     PlanCache,
@@ -17,44 +17,50 @@ from repro.plan_cache import (
 QUERY = "MATCH (p:Person) WHERE p.id IN $ids RETURN p.name AS name"
 
 
+def execute_cypher(service, query, parameters=None):
+    """Optimize with values inlined (full-signature cache key), run to completion."""
+    report = service.optimize(query, "cypher", parameters)
+    return service.backend.execute(report.physical_plan)
+
+
 @pytest.fixture()
-def gopt(social_graph):
-    return GOpt.for_graph(social_graph, backend="graphscope", num_partitions=2,
-                          plan_cache_size=4)
+def service(social_graph):
+    return GraphService(social_graph, backend="graphscope", num_partitions=2,
+                        plan_cache_size=4)
 
 
 class TestHitMissAccounting:
-    def test_repeat_query_hits(self, gopt):
-        gopt.execute_cypher("MATCH (p:Person) RETURN count(p) AS c")
-        info = gopt.cache_info()
+    def test_repeat_query_hits(self, service):
+        execute_cypher(service, "MATCH (p:Person) RETURN count(p) AS c")
+        info = service.cache_info()
         assert (info.hits, info.misses, info.size) == (0, 1, 1)
-        gopt.execute_cypher("MATCH (p:Person) RETURN count(p) AS c")
-        info = gopt.cache_info()
+        execute_cypher(service, "MATCH (p:Person) RETURN count(p) AS c")
+        info = service.cache_info()
         assert (info.hits, info.misses, info.size) == (1, 1, 1)
 
-    def test_whitespace_normalization_shares_entry(self, gopt):
-        gopt.optimize("MATCH (p:Person) RETURN count(p) AS c")
-        gopt.optimize("MATCH   (p:Person)\n   RETURN count(p)   AS c")
-        info = gopt.cache_info()
+    def test_whitespace_normalization_shares_entry(self, service):
+        service.optimize("MATCH (p:Person) RETURN count(p) AS c")
+        service.optimize("MATCH   (p:Person)\n   RETURN count(p)   AS c")
+        info = service.cache_info()
         assert (info.hits, info.misses) == (1, 1)
 
-    def test_language_is_part_of_the_key(self, gopt):
-        gopt.optimize("g.V().hasLabel('Person').count()", language="gremlin")
-        gopt.optimize("g.V().hasLabel('Person').count()", language="gremlin")
-        assert gopt.cache_info().hits == 1
+    def test_language_is_part_of_the_key(self, service):
+        service.optimize("g.V().hasLabel('Person').count()", language="gremlin")
+        service.optimize("g.V().hasLabel('Person').count()", language="gremlin")
+        assert service.cache_info().hits == 1
 
-    def test_logical_plan_inputs_bypass_the_cache(self, gopt):
-        plan = gopt.parse("MATCH (p:Person) RETURN count(p) AS c")
-        gopt.optimize(plan)
-        gopt.optimize(plan)
-        info = gopt.cache_info()
+    def test_logical_plan_inputs_bypass_the_cache(self, service):
+        plan = service.parse("MATCH (p:Person) RETURN count(p) AS c")
+        service.optimize(plan)
+        service.optimize(plan)
+        info = service.cache_info()
         assert (info.hits, info.misses, info.size) == (0, 0, 0)
 
     def test_cache_can_be_disabled(self, social_graph):
-        gopt = GOpt.for_graph(social_graph, backend="neo4j", plan_cache_size=None)
-        gopt.execute_cypher("MATCH (p:Person) RETURN count(p) AS c")
-        gopt.execute_cypher("MATCH (p:Person) RETURN count(p) AS c")
-        info = gopt.cache_info()
+        service = GraphService(social_graph, backend="neo4j", plan_cache_size=None)
+        execute_cypher(service, "MATCH (p:Person) RETURN count(p) AS c")
+        execute_cypher(service, "MATCH (p:Person) RETURN count(p) AS c")
+        info = service.cache_info()
         assert (info.hits, info.misses, info.capacity) == (0, 0, 0)
 
     @pytest.mark.parametrize("size", [None, 0])
@@ -65,50 +71,50 @@ class TestHitMissAccounting:
         the sentinel is unambiguous; ``cache_info`` stays all-zero no matter
         how many queries run, and ``clear_plan_cache`` is a safe no-op.
         """
-        gopt = GOpt.for_graph(social_graph, backend="neo4j", plan_cache_size=size)
-        assert gopt.cache_info() == PlanCacheInfo.disabled()
-        assert gopt.cache_info().capacity == 0
-        gopt.execute_cypher("MATCH (p:Person) RETURN count(p) AS c")
-        gopt.clear_plan_cache()  # no-op, must not raise
-        assert gopt.cache_info() == PlanCacheInfo.disabled()
+        service = GraphService(social_graph, backend="neo4j", plan_cache_size=size)
+        assert service.cache_info() == PlanCacheInfo.disabled()
+        assert service.cache_info().capacity == 0
+        execute_cypher(service, "MATCH (p:Person) RETURN count(p) AS c")
+        service.clear_plan_cache()  # no-op, must not raise
+        assert service.cache_info() == PlanCacheInfo.disabled()
 
-    def test_enabled_cache_never_reports_capacity_zero(self, gopt):
-        assert gopt.cache_info().capacity >= 1
+    def test_enabled_cache_never_reports_capacity_zero(self, service):
+        assert service.cache_info().capacity >= 1
 
-    def test_clear_resets_counts(self, gopt):
-        gopt.optimize("MATCH (p:Person) RETURN count(p) AS c")
-        gopt.clear_plan_cache()
-        info = gopt.cache_info()
+    def test_clear_resets_counts(self, service):
+        service.optimize("MATCH (p:Person) RETURN count(p) AS c")
+        service.clear_plan_cache()
+        info = service.cache_info()
         assert (info.hits, info.misses, info.size) == (0, 0, 0)
 
-    def test_cached_report_still_executes_with_current_values(self, gopt):
-        first = gopt.execute_cypher(QUERY, parameters={"ids": [0, 1, 2]})
-        second = gopt.execute_cypher(QUERY, parameters={"ids": [0, 1, 2]})
-        assert gopt.cache_info().hits == 1
+    def test_cached_report_still_executes_with_current_values(self, service):
+        first = execute_cypher(service, QUERY, parameters={"ids": [0, 1, 2]})
+        second = execute_cypher(service, QUERY, parameters={"ids": [0, 1, 2]})
+        assert service.cache_info().hits == 1
         assert first.rows == second.rows
         assert len(second.rows) == 3
 
 
 class TestParameterSignatureIsolation:
-    def test_different_values_do_not_collide(self, gopt):
-        a = gopt.execute_cypher(QUERY, parameters={"ids": [0, 1]})
-        b = gopt.execute_cypher(QUERY, parameters={"ids": [0, 1, 2, 3]})
-        assert gopt.cache_info().hits == 0
+    def test_different_values_do_not_collide(self, service):
+        a = execute_cypher(service, QUERY, parameters={"ids": [0, 1]})
+        b = execute_cypher(service, QUERY, parameters={"ids": [0, 1, 2, 3]})
+        assert service.cache_info().hits == 0
         assert len(a.rows) == 2 and len(b.rows) == 4
 
-    def test_same_text_different_param_types_do_not_collide(self, gopt):
+    def test_same_text_different_param_types_do_not_collide(self, service):
         # 1 and 1.0 and True are ==/hash-equal in Python but are different
         # literals once inlined; the signature must keep them apart
         query = "MATCH (p:Person) WHERE p.id = $x RETURN count(p) AS c"
-        gopt.optimize(query, parameters={"x": 1})
-        gopt.optimize(query, parameters={"x": 1.0})
-        gopt.optimize(query, parameters={"x": True})
-        info = gopt.cache_info()
+        service.optimize(query, parameters={"x": 1})
+        service.optimize(query, parameters={"x": 1.0})
+        service.optimize(query, parameters={"x": True})
+        info = service.cache_info()
         assert (info.hits, info.misses) == (0, 3)
         # repeating each now hits its own entry
-        gopt.optimize(query, parameters={"x": 1})
-        gopt.optimize(query, parameters={"x": 1.0})
-        assert gopt.cache_info().hits == 2
+        service.optimize(query, parameters={"x": 1})
+        service.optimize(query, parameters={"x": 1.0})
+        assert service.cache_info().hits == 2
 
     def test_signature_is_order_insensitive(self):
         assert parameter_signature({"a": 1, "b": 2}) == parameter_signature({"b": 2, "a": 1})
@@ -133,11 +139,11 @@ class TestParameterSignatureIsolation:
         # unterminated literal: kept verbatim to the end, no crash
         assert normalize_query_text('RETURN "dangling  text').endswith('"dangling  text')
 
-    def test_queries_differing_only_inside_literals_do_not_collide(self, gopt):
+    def test_queries_differing_only_inside_literals_do_not_collide(self, service):
         template = 'MATCH (p:Person) WHERE p.name = %s RETURN count(p) AS c'
-        gopt.optimize(template % '"Ada  0"')
-        gopt.optimize(template % '"Ada 0"')
-        info = gopt.cache_info()
+        service.optimize(template % '"Ada  0"')
+        service.optimize(template % '"Ada 0"')
+        info = service.cache_info()
         assert (info.hits, info.misses) == (0, 2)
 
 
@@ -153,10 +159,10 @@ class TestEvictionOrder:
         assert cache.get(("q3",)) == "r3"
         assert cache.info().evictions == 1
 
-    def test_capacity_enforced_via_facade(self, gopt):
+    def test_capacity_enforced_via_service(self, service):
         for index in range(6):
-            gopt.optimize("MATCH (p:Person) RETURN count(p) AS c%d" % index)
-        info = gopt.cache_info()
+            service.optimize("MATCH (p:Person) RETURN count(p) AS c%d" % index)
+        info = service.cache_info()
         assert info.size == 4
         assert info.evictions == 2
 
@@ -221,32 +227,31 @@ class TestEnvironmentBypass:
         # private graph: the shared fixture must not be mutated
         graph = social_commerce_graph(num_persons=20, num_products=5,
                                       num_places=3, seed=11)
-        gopt = GOpt.for_graph(graph, backend="neo4j")
+        service = GraphService(graph, backend="neo4j")
         query = "MATCH (p:Person) RETURN count(p) AS c"
-        before = gopt.execute_cypher(query).rows[0]["c"]
-        gopt.execute_cypher(query)
-        assert gopt.cache_info().hits == 1
+        before = execute_cypher(service, query).rows[0]["c"]
+        execute_cypher(service, query)
+        assert service.cache_info().hits == 1
         graph.add_vertex("Person", {"id": 10_000, "name": "new"})
-        after = gopt.execute_cypher(query).rows[0]["c"]
+        after = execute_cypher(service, query).rows[0]["c"]
         assert after == before + 1          # fresh plan, fresh environment key
-        assert gopt.cache_info().hits == 1  # no stale hit
+        assert service.cache_info().hits == 1  # no stale hit
 
-    def test_engine_flip_bypasses(self, gopt):
+    def test_engine_flip_bypasses(self, service):
         query = "MATCH (p:Person) RETURN count(p) AS c"
-        gopt.optimize(query)
-        gopt.engine = "vectorized"
-        gopt.optimize(query)
-        info = gopt.cache_info()
+        service.optimize(query)
+        service.optimize(query, engine="vectorized")
+        info = service.cache_info()
         assert (info.hits, info.misses) == (0, 2)
 
     def test_config_change_bypasses(self, social_graph):
-        gopt = GOpt.for_graph(social_graph, backend="neo4j")
+        service = GraphService(social_graph, backend="neo4j")
         query = "MATCH (p:Person)-[:Knows]->(f:Person) RETURN count(f) AS c"
-        gopt.optimize(query)
+        service.optimize(query)
         from repro.optimizer.planner import GOptimizer
-        gopt.optimizer = GOptimizer.for_graph(
-            social_graph, profile=gopt.backend.profile(),
+        service.optimizer = GOptimizer.for_graph(
+            social_graph, profile=service.backend.profile(),
             config=OptimizerConfig(enable_cbo=False))
-        gopt.optimize(query)
-        info = gopt.cache_info()
+        service.optimize(query)
+        info = service.cache_info()
         assert (info.hits, info.misses) == (0, 2)

@@ -1,0 +1,42 @@
+"""The public surface: what the three ``__all__`` lists promise, and the
+names this repo no longer has."""
+
+import importlib
+
+import pytest
+
+import repro
+from repro import GraphService, ResultCursor
+
+QUERY = "MATCH (p:Person) RETURN p.name AS name"
+
+
+@pytest.mark.parametrize("module_name", ["repro", "repro.service", "repro.backend"])
+def test_every_exported_name_resolves(module_name):
+    module = importlib.import_module(module_name)
+    assert len(set(module.__all__)) == len(module.__all__)
+    for name in module.__all__:
+        assert getattr(module, name) is not None, name
+
+
+def test_removed_names_are_gone():
+    import repro.backend
+
+    assert not hasattr(repro, "GOpt")
+    assert not hasattr(repro, "OptimizedQuery")
+    assert not hasattr(repro.backend, "StreamingResult")
+    assert not hasattr(repro.backend.base, "StreamingResult")
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.api")
+
+
+def test_one_result_handle_at_every_layer(social_graph):
+    service = GraphService(social_graph, backend="neo4j")
+    plan = service.optimize(QUERY).physical_plan
+    raw = service.backend.execute_streaming(plan)
+    with service.session() as session:
+        cursor = session.run(QUERY)
+        assert type(raw) is type(cursor) is ResultCursor
+        assert raw.report is None and cursor.report is not None
+        assert raw.fetch_all() == cursor.fetch_all()
+    assert repro.service.ResultCursor is repro.backend.ResultCursor is ResultCursor
