@@ -331,12 +331,13 @@ class PatternGraph:
 
     # -- canonical keys (statistics lookups) -------------------------------------
     def canonical_key(self) -> Tuple:
-        """Isomorphism-invariant key used by GLogue and the estimation cache.
+        """Isomorphism-invariant key used by the estimation cache.
 
-        For small patterns (the only ones stored in GLogue) the key is exact:
-        the minimum over all vertex orderings of the (types, edges) encoding.
-        Larger patterns fall back to a refinement-based key that is invariant
-        but not guaranteed collision-free; collisions only merge cache entries.
+        Up to 7 vertices the key is an exact canonical form (equal keys <=>
+        isomorphic patterns), computed by colour refinement rather than over
+        all vertex orderings.  Larger patterns fall back to a one-round
+        signature key that is invariant but not guaranteed collision-free;
+        collisions only merge cache entries.
         """
         names = sorted(self._vertices)
         if len(names) <= 7:
@@ -344,22 +345,46 @@ class PatternGraph:
         return self._refined_key(names)
 
     def _exact_canonical_key(self, names: List[str]) -> Tuple:
+        """Refine vertex colours, then minimise the edge code within colour classes.
+
+        A colour starts as the rank of the vertex's constraint label and is
+        refined to the rank of (colour, sorted incident (direction, edge label,
+        hops, neighbour colour)) until no class splits.  Classes take
+        consecutive positions in colour order; only orderings *inside* a class
+        are tried.  Known worst case: k identical, symmetric vertices (a 7-cycle
+        of ``Person-KNOWS``) stay one class and still cost k! edge codes.
+        """
+        count = len(names)
+        index = {name: i for i, name in enumerate(names)}
+        labels = [self._vertices[name].constraint.label() for name in names]
+        edges = [(index[e.src], index[e.dst], e.constraint.label(), e.min_hops, e.max_hops)
+                 for e in self._edges.values()]
+        signatures: List = labels
+        num_classes = 0
+        while True:
+            ranks = {sig: rank for rank, sig in enumerate(sorted(set(signatures)))}
+            colour = [ranks[sig] for sig in signatures]
+            if len(ranks) == num_classes or len(ranks) == count:
+                break
+            num_classes = len(ranks)
+            incident: List[List[Tuple]] = [[] for _ in names]
+            for src, dst, label, min_hops, max_hops in edges:
+                incident[src].append((0, label, min_hops, max_hops, colour[dst]))
+                incident[dst].append((1, label, min_hops, max_hops, colour[src]))
+            signatures = [(colour[v], tuple(sorted(incident[v]))) for v in range(count)]
+        classes: List[List[int]] = [[] for _ in ranks]
+        for v, rank in enumerate(colour):
+            classes[rank].append(v)
+        position = [0] * count
         best = None
-        for perm in itertools.permutations(range(len(names))):
-            mapping = {name: perm[i] for i, name in enumerate(names)}
-            vertex_code = tuple(
-                label for _, label in sorted(
-                    (mapping[name], self._vertices[name].constraint.label()) for name in names
-                )
-            )
-            edge_code = tuple(sorted(
-                (mapping[e.src], mapping[e.dst], e.constraint.label(), e.min_hops, e.max_hops)
-                for e in self._edges.values()
-            ))
-            code = (vertex_code, edge_code)
+        for ordering in itertools.product(*map(itertools.permutations, classes)):
+            for slot, v in enumerate(itertools.chain.from_iterable(ordering)):
+                position[v] = slot
+            code = sorted((position[s], position[d], label, min_hops, max_hops)
+                          for s, d, label, min_hops, max_hops in edges)
             if best is None or code < best:
                 best = code
-        return ("exact",) + (best if best is not None else ((), ()))
+        return ("exact", tuple(sorted(labels)), tuple(best))
 
     def _refined_key(self, names: List[str]) -> Tuple:
         signature = {}

@@ -54,6 +54,9 @@ class GlogueQuery:
         self._selectivity = selectivity or SelectivityConfig()
         self._use_high_order = use_high_order
         self._cache: Dict[Tuple, float] = {}
+        # GLogue is immutable once built: per-constraint totals are computed once
+        self._vertex_freq: Dict[TypeConstraint, float] = {}
+        self._edge_freq: Dict[Tuple, float] = {}
 
     @property
     def glogue(self) -> Glogue:
@@ -87,8 +90,12 @@ class GlogueQuery:
 
     def vertex_constraint_freq(self, constraint: TypeConstraint) -> float:
         """Total number of data vertices admitted by a type constraint."""
-        types = self._schema.resolve_vertex_constraint(constraint)
-        return float(sum(self._glogue.vertex_count(t) for t in types))
+        freq = self._vertex_freq.get(constraint)
+        if freq is None:
+            types = self._schema.resolve_vertex_constraint(constraint)
+            freq = float(sum(self._glogue.vertex_count(t) for t in types))
+            self._vertex_freq[constraint] = freq
+        return freq
 
     def edge_constraint_freq(
         self,
@@ -97,6 +104,10 @@ class GlogueQuery:
         dst_constraint: Optional[TypeConstraint] = None,
     ) -> float:
         """Total number of data edges compatible with the given constraints."""
+        key = (edge_constraint, src_constraint, dst_constraint)
+        total = self._edge_freq.get(key)
+        if total is not None:
+            return total
         labels = self._schema.resolve_edge_constraint(edge_constraint)
         src_types = (
             self._schema.resolve_vertex_constraint(src_constraint)
@@ -117,10 +128,16 @@ class GlogueQuery:
             if dst_types is not None and dst not in dst_types:
                 continue
             total += count
+        self._edge_freq[key] = total
         return total
 
     # -- structural frequency -----------------------------------------------
     def _structural_freq(self, pattern: PatternGraph) -> float:
+        """Structural estimate, cached per isomorphism class (``canonical_key``
+        is an exact canonical form computed by colour refinement).  The classes
+        are load-bearing: peeling breaks ties by vertex *name*, so the first
+        pattern of a class to be estimated sets what every isomorphic one reads.
+        """
         key = pattern.canonical_key()
         cached = self._cache.get(key)
         if cached is not None:
@@ -191,10 +208,7 @@ class GlogueQuery:
 
     def _independence_estimate(self, pattern: PatternGraph) -> float:
         """Fallback: treat every edge as independent (used for exotic shapes)."""
-        freq = 1.0
-        for index, vertex in enumerate(pattern.vertices):
-            if index == 0:
-                freq *= self.vertex_constraint_freq(vertex.constraint)
+        freq = self.vertex_constraint_freq(pattern.vertices[0].constraint)
         for edge in pattern.edges:
             freq *= self._expand_ratio(pattern, edge, edge.src, edge.dst, closing=False)
         return freq
@@ -242,13 +256,15 @@ class GlogueQuery:
     def _pattern_selectivity(self, pattern: PatternGraph) -> float:
         selectivity = 1.0
         for vertex in pattern.vertices:
-            base = self.vertex_constraint_freq(vertex.constraint)
-            for predicate in vertex.predicates:
-                selectivity *= self.predicate_selectivity(predicate, base)
+            if vertex.predicates:
+                base = self.vertex_constraint_freq(vertex.constraint)
+                for predicate in vertex.predicates:
+                    selectivity *= self.predicate_selectivity(predicate, base)
         for edge in pattern.edges:
-            base = self.edge_constraint_freq(edge.constraint)
-            for predicate in edge.predicates:
-                selectivity *= self.predicate_selectivity(predicate, base)
+            if edge.predicates:
+                base = self.edge_constraint_freq(edge.constraint)
+                for predicate in edge.predicates:
+                    selectivity *= self.predicate_selectivity(predicate, base)
         return max(selectivity, self._selectivity.minimum)
 
     def predicate_selectivity(self, predicate: Expr, element_count: float) -> float:

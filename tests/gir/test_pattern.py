@@ -1,6 +1,9 @@
 """Tests for pattern graphs: construction, subpatterns, merging, canonical keys."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import GirBuildError
 from repro.gir.expressions import parse_expression
@@ -197,7 +200,143 @@ class TestCanonicalKeys:
         other = triangle.with_vertex_constraint("c", BasicType("Product"))
         assert triangle.canonical_key() != other.canonical_key()
 
+    def test_triangle_vs_wedge(self):
+        wedge = _pattern(["Person"] * 3, [(0, 1, "Knows"), (1, 2, "Knows")])
+        triangle = _pattern(["Person"] * 3, [(0, 1, "Knows"), (1, 2, "Knows"), (0, 2, "Knows")])
+        cycle = _pattern(["Person"] * 3, [(0, 1, "Knows"), (1, 2, "Knows"), (2, 0, "Knows")])
+        keys = {p.canonical_key() for p in (wedge, triangle, cycle)}
+        assert len(keys) == 3
+        # the transitive triangle again, wired from another corner
+        assert _pattern(["Person"] * 3, [(2, 0, "Knows"), (0, 1, "Knows"), (2, 1, "Knows")],
+                        names="zyx").canonical_key() == triangle.canonical_key()
+
+    def test_star_leaves_are_interchangeable(self):
+        star = _pattern(["Person", "Post", "Post", "Post"],
+                        [(0, 1, "Likes"), (0, 2, "Likes"), (0, 3, "Likes")])
+        reordered = _pattern(["Post", "Post", "Person", "Post"],
+                             [(2, 3, "Likes"), (2, 0, "Likes"), (2, 1, "Likes")], names="qrst")
+        one_reversed = _pattern(["Person", "Post", "Post", "Post"],
+                                [(0, 1, "Likes"), (0, 2, "Likes"), (3, 0, "Likes")])
+        assert star.canonical_key() == reordered.canonical_key()
+        assert star.canonical_key() != one_reversed.canonical_key()
+
+    def test_same_labels_different_wiring(self):
+        labels = ["Person", "Person", "Post", "Post"]
+        each_likes_one = _pattern(labels, [(0, 1, "Knows"), (0, 2, "Likes"), (1, 3, "Likes")])
+        one_likes_both = _pattern(labels, [(0, 1, "Knows"), (0, 2, "Likes"), (0, 3, "Likes")])
+        assert each_likes_one.canonical_key() != one_likes_both.canonical_key()
+
+    def test_refinement_alone_cannot_split_regular_patterns(self):
+        # every vertex has one Knows in and one out in both patterns, so all six
+        # stay one colour class: only the minimum within the class tells them apart
+        hexagon = _pattern(["Person"] * 6, [(i, (i + 1) % 6, "Knows") for i in range(6)])
+        two_triangles = _pattern(["Person"] * 6,
+                                 [(0, 1, "Knows"), (1, 2, "Knows"), (2, 0, "Knows"),
+                                  (3, 4, "Knows"), (4, 5, "Knows"), (5, 3, "Knows")])
+        rotated = _pattern(["Person"] * 6, [(i, (i + 5) % 6, "Knows") for i in range(6)],
+                           names="fedcba")
+        assert hexagon.canonical_key() != two_triangles.canonical_key()
+        assert hexagon.canonical_key() == rotated.canonical_key()
+
+    def test_mutation_after_key_changes_key(self, triangle):
+        before = triangle.canonical_key()
+        assert triangle.with_vertex_constraint("c", BasicType("Product")).canonical_key() != before
+        assert triangle.with_edge_constraint("e1", AllType()).canonical_key() != before
+        extra = PatternGraph().add_vertex("c", BasicType("Place")).add_vertex("d", BasicType("Tag"))
+        extra.add_edge("e4", "c", "d", BasicType("HasTag"))
+        assert triangle.merge(extra).canonical_key() != before
+        assert triangle.canonical_key() == before
+        triangle.add_vertex("d", BasicType("Tag"))
+        with_vertex = triangle.canonical_key()
+        triangle.add_edge("e4", "c", "d", BasicType("HasTag"))
+        assert len({before, with_vertex, triangle.canonical_key()}) == 3
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_same_classes_as_brute_force(self, data):
+        """new_key(a) == new_key(b)  <=>  brute(a) == brute(b), on related and unrelated pairs."""
+        labels, edges = data.draw(_shapes())
+        first = _pattern(labels, edges)
+        # an isomorphic copy: vertices permuted and renamed, edges inserted in another order
+        order = data.draw(st.permutations(range(len(labels))))
+        slot = {old: new for new, old in enumerate(order)}
+        moved = [(slot[e[0]], slot[e[1]]) + e[2:] for e in data.draw(st.permutations(edges))]
+        copy = _pattern([labels[old] for old in order], moved, names="zyxwvu")
+        assert copy.canonical_key() == first.canonical_key()
+        assert _brute_force_key(copy) == _brute_force_key(first)
+        # a near miss (one edge reversed, which may or may not be an automorphism)
+        # and an unrelated pattern: the two keys must agree on which are equal
+        others = [data.draw(_shapes())]
+        if edges:
+            index = data.draw(st.integers(0, len(edges) - 1))
+            flipped = (moved[index][1], moved[index][0]) + moved[index][2:]
+            others.append(([labels[old] for old in order],
+                           moved[:index] + [flipped] + moved[index + 1:]))
+        for other_labels, other_edges in others:
+            other = _pattern(other_labels, other_edges)
+            assert (other.canonical_key() == first.canonical_key()) == \
+                (_brute_force_key(other) == _brute_force_key(first))
+
     def test_describe_mentions_all_elements(self, triangle):
         text = triangle.describe()
         for name in ("a", "b", "c", "e1", "e2", "e3"):
             assert name in text
+
+
+# -- canonical-key oracle -----------------------------------------------------------
+
+def _brute_force_key(pattern):
+    """Reference canonical form: the minimum (types, edges) code over all n! vertex orderings.
+
+    This was ``PatternGraph._exact_canonical_key`` until the refinement-based
+    key replaced it; it stays here as the oracle the fast key is checked against.
+    """
+    names = sorted(pattern.vertex_names)
+    best = None
+    for perm in itertools.permutations(range(len(names))):
+        mapping = {name: perm[i] for i, name in enumerate(names)}
+        vertex_code = tuple(
+            label for _, label in sorted(
+                (mapping[name], pattern.vertex(name).constraint.label()) for name in names
+            )
+        )
+        edge_code = tuple(sorted(
+            (mapping[e.src], mapping[e.dst], e.constraint.label(), e.min_hops, e.max_hops)
+            for e in pattern.edges
+        ))
+        code = (vertex_code, edge_code)
+        if best is None or code < best:
+            best = code
+    return ("exact",) + (best if best is not None else ((), ()))
+
+
+def _pattern(labels, edges, names="abcdef"):
+    """Pattern with vertex ``names[i]`` typed ``labels[i]``; edges are
+    ``(src index, dst index, constraint[, min_hops, max_hops])``."""
+    pattern = PatternGraph()
+    for name, label in zip(names, labels):
+        pattern.add_vertex(name, label)
+    for number, (src, dst, constraint, *hops) in enumerate(edges):
+        min_hops, max_hops = hops or (1, 1)
+        pattern.add_edge("%s%d" % (names[-1], number), names[src], names[dst], constraint,
+                         min_hops=min_hops, max_hops=max_hops)
+    return pattern
+
+
+# few distinct labels, so repeated labels, parallel edges and symmetric vertices are
+# common; (1, 1) is listed twice to keep plain edges the usual case
+_vertex_constraints = st.sampled_from(
+    [BasicType("Person"), BasicType("Post"), UnionType("Post", "Comment"), AllType()])
+_edge_constraints = st.sampled_from([BasicType("Knows"), UnionType("Likes", "Knows"), AllType()])
+_hop_ranges = st.sampled_from([(1, 1), (1, 1), (1, 3), (0, 2)])
+
+
+@st.composite
+def _shapes(draw):
+    labels = draw(st.lists(_vertex_constraints, min_size=1, max_size=6))
+    vertex = st.integers(0, len(labels) - 1)
+    edges = draw(st.lists(
+        st.tuples(vertex, vertex, _edge_constraints, _hop_ranges).map(
+            lambda e: e[:3] + e[3]),
+        max_size=8))
+    return labels, edges

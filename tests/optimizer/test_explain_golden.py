@@ -38,6 +38,11 @@ PINNED_QUERIES = [
     ("IC", "IC5"),
     ("BI", "BI2"),
     ("BI", "BI9"),
+    # the plans that lean hardest on the estimation cache's canonical key
+    ("QC", "QC3b"),  # 5-vertex pattern
+    ("QC", "QC4a"),  # 6 vertices, 8 edges: 1 716 estimator lookups
+    ("QC", "QC4b"),
+    ("IC", "IC12"),  # variable-length path edge
 ]
 
 BACKENDS = ["graphscope", "neo4j"]

@@ -1,7 +1,11 @@
 """Tests for the CBO: physical specs, cost model, plan search and baselines."""
 
+import gc
+import time
+
 import pytest
 
+from repro.bench.pipelines import build_optimizer
 from repro.errors import PlanningError
 from repro.gir.pattern import PatternGraph
 from repro.graph.types import AllType, BasicType, UnionType
@@ -34,6 +38,7 @@ from repro.optimizer.search import (
     enumerate_expand_candidates,
     enumerate_join_candidates,
 )
+from repro.workloads import qc_queries
 
 
 @pytest.fixture()
@@ -234,6 +239,31 @@ class TestPatternSearcher:
         kinds = {type(o).__name__ for o in _walk(op)}
         assert "ScanVertex" in kinds
         assert kinds & {"ExpandEdge", "ExpandIntersect", "ExpandInto", "HashJoin"}
+
+    def test_qc4a_compiles_fast_without_searching_less(self, ldbc_graph, ldbc_glogue):
+        """The estimator's bookkeeping must stay cheaper than the search it serves.
+
+        With a factorial cache key this compile took ~3.5 s, nearly all of it
+        inside ``canonical_key``; it now takes ~0.1 s.  The search statistics are
+        the brute-force-key version's, so time can only have fallen because
+        bookkeeping fell, never because search was cut.
+        """
+        optimizer = build_optimizer(ldbc_graph, "gopt", glogue=ldbc_glogue)
+        plan = qc_queries().get("QC4a").logical_plan()
+        gc.collect()
+        gc.disable()  # one full collection of the session's graphs costs ~0.1 s
+        try:
+            start = time.perf_counter()
+            report = optimizer.optimize(plan)
+            elapsed = time.perf_counter() - start
+        finally:
+            gc.enable()
+        (search,) = report.pattern_searches
+        assert (search.pattern.num_vertices, search.pattern.num_edges) == (6, 8)
+        assert search.result.states_explored == 39
+        assert search.result.candidates_pruned == 466
+        assert search.result.cost == 1353.4141859166602
+        assert elapsed < 1.0
 
 
 def _walk(op):
