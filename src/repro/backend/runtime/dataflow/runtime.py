@@ -52,7 +52,7 @@ from repro.backend.runtime.dataflow.plan import (
 )
 from repro.backend.runtime.dataflow.steps import charge_outputs
 from repro.backend.runtime.kernels import registry
-from repro.backend.runtime.kernels.common import Row, merge_rows
+from repro.backend.runtime.kernels.common import Row, merge_rows, scan_candidates
 from repro.backend.runtime.streaming import execute_operator
 from repro.errors import CancelledError, ExecutionTimeout, GOptError, WorkerFailure
 from repro.graph.partition import GraphPartitioner
@@ -400,10 +400,8 @@ class DataflowExecutor:
         sources: List[List] = [[] for _ in range(self.num_partitions)]
         scan = segment.scan
         if segment.source is None and scan is not None:
-            if not scan.constraint.is_empty:
-                for index, vid in enumerate(
-                        self.ctx.graph.vertices_of_type(scan.constraint)):
-                    sources[self.partition_of(vid)].append((index, vid))
+            for index, vid in enumerate(scan_candidates(scan, self.ctx)):
+                sources[self.partition_of(vid)].append((index, vid))
             return sources
         rows = self._node(segment.source)
         anchor = segment.steps[0].relocate_tag

@@ -99,12 +99,10 @@ def scan_kernel(op: ScanVertex, ctx: ExecutionContext,
     """Scan one partition's share of the vertices.
 
     ``split`` holds ``(global_index, vertex_id)`` assignments -- the global
-    index is the vertex's position in the full ``vertices_of_type``
-    iteration, which seeds the lineage so the gather can restore scan order.
+    index is the vertex's position in the scan's ``scan_candidates``
+    sequence, which seeds the lineage so the gather can restore scan order.
     """
     out: List[Pair] = []
-    if op.constraint.is_empty:
-        return out
     process = rowwise.scan_vertex(op, ctx)
     catcher = _SingleRowCatcher()
     for index, vid in split:

@@ -3,6 +3,7 @@
 These are the single authoritative implementations of the value-level
 semantics every execution engine must agree on:
 
+* :func:`scan_candidates` -- which vertices a scan probes, in which order;
 * :func:`vertex_matches` / :func:`edge_matches` -- predicate probing for a
   candidate graph element on top of an existing binding;
 * :func:`retrieve_properties` -- the property-retrieval cost accounting that
@@ -22,7 +23,7 @@ concern is handled by the thin adapters in the interpreter modules instead.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Optional, Set
+from typing import Dict, Iterable, Optional, Set
 
 from repro.backend.runtime.binding import ERef, VRef
 from repro.backend.runtime.columnar import MISSING, OverlayBinding
@@ -34,6 +35,20 @@ Row = Dict[str, object]
 
 
 # -- element matching ---------------------------------------------------------------
+
+def scan_candidates(op, ctx) -> Iterable[int]:
+    """The vertex ids a ``ScanVertex`` probes, in ``vertices_of_type`` order:
+    those the property index returns for its ``lookup`` when it can answer
+    (a superset of the output -- predicates still run), else all of them."""
+    if op.lookup is not None:
+        key, value = op.lookup
+        ids = ctx.graph.vertices_with(op.constraint, key, ctx.evaluator.evaluate(value, None))
+        if ids is not None:
+            # a seek may probe nothing, so no ``tick`` would see an expired deadline
+            ctx.check_deadline()
+            return ids
+    return ctx.graph.vertices_of_type(op.constraint)
+
 
 def vertex_matches(ctx, vid: int, constraint, predicates, tag: str,
                    binding=None) -> bool:

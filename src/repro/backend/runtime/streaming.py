@@ -46,7 +46,8 @@ from typing import Iterator, List
 from repro.backend.runtime.columnar import ColumnBatch
 from repro.backend.runtime.context import ExecutionContext
 from repro.backend.runtime.kernels import registry, rowwise
-from repro.backend.runtime.kernels.common import Row, normalized_column, shared_subtree_ids
+from repro.backend.runtime.kernels.common import (
+    Row, normalized_column, scan_candidates, shared_subtree_ids)
 from repro.backend.runtime.kernels.sinks import BatchSink, RowListSink
 from repro.backend.runtime.kernels.state import (
     AggregateState,
@@ -144,11 +145,9 @@ def _stream_child(op: PhysicalOperator, ctx: ExecutionContext, index: int = 0) -
 
 
 def _stream_scan(op: ScanVertex, ctx: ExecutionContext) -> Iterator[Row]:
-    if op.constraint.is_empty:
-        return
     process = rowwise.scan_vertex(op, ctx)
     sink = RowListSink()
-    for vid in ctx.graph.vertices_of_type(op.constraint):
+    for vid in scan_candidates(op, ctx):
         process(vid, sink)
         if sink.rows:
             yield from sink.drain()
@@ -292,11 +291,9 @@ def _rebatch(rows: List[Row], ctx: ExecutionContext) -> Iterator[ColumnBatch]:
 
 
 def _batch_scan(op: ScanVertex, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-    if op.constraint.is_empty:
-        return
     process = rowwise.scan_vertex(op, ctx)
     sink = BatchSink()
-    for vid in ctx.graph.vertices_of_type(op.constraint):
+    for vid in scan_candidates(op, ctx):
         process(vid, sink)
         if sink.computed_rows >= ctx.batch_size:
             yield sink.drain_computed()

@@ -5,13 +5,14 @@ vertex and edge has a type (``lambda_G``) and a property map.  The class keeps
 per-type vertex indexes and per-vertex, per-label adjacency lists so that the
 execution backends can do the three operations that dominate CGP evaluation:
 
-* scanning vertices by (a set of) types,
+* scanning vertices by (a set of) types, or by a property value (``vertices_with``),
 * expanding adjacent edges filtered by label constraint and direction, and
 * set-intersection of neighbourhoods (worst-case optimal ``ExpandIntersect``).
 """
 
 from __future__ import annotations
 
+import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
@@ -57,6 +58,10 @@ class PropertyGraph:
         self._vertices_by_type: Dict[str, List[int]] = defaultdict(list)
         self._edge_label_counts: Dict[str, int] = defaultdict(int)
         self._edge_triple_counts: Dict[Tuple[str, str, str], int] = defaultdict(int)
+        # label -> key -> (value -> ids in insertion order), or None when the
+        # label stores an unhashable value under key; built on first request
+        self._property_indexes: Dict[str, Dict[str, Optional[Dict[object, List[int]]]]] = {}
+        self._index_lock = threading.Lock()
         self._next_vertex_id = 0
         self._next_edge_id = 0
 
@@ -78,7 +83,12 @@ class PropertyGraph:
         self._vertex_type[vertex_id] = vertex_type
         if properties:
             self._vertex_props[vertex_id] = dict(properties)
-        self._vertices_by_type[vertex_type].append(vertex_id)
+        # under the lock: an index being built concurrently must not miss it
+        with self._index_lock:
+            self._vertices_by_type[vertex_type].append(vertex_id)
+            indexes = self._property_indexes.get(vertex_type, {})
+            for key in indexes:
+                self._index_vertex(indexes, key, vertex_id)
         return vertex_id
 
     def add_edge(
@@ -143,6 +153,49 @@ class PropertyGraph:
             return
         for vtype in constraint.resolve(self._vertices_by_type.keys()):
             yield from self._vertices_by_type.get(vtype, ())
+
+    def vertices_with(self, constraint, key: str, value) -> Optional[List[int]]:
+        """Ids of the ``constraint`` vertices whose ``key`` property (``None``
+        when missing) equals ``value``, in ``vertices_of_type`` order; ``None``
+        when the index cannot answer: an all-types constraint, an unhashable
+        ``value``, or a label storing an unhashable value under ``key``.
+
+        Hashing may also return an identical NaN object, which ``==``
+        rejects: callers still test their predicate on every id.
+        """
+        constraint = TypeConstraint.coerce(constraint)
+        if constraint.is_all:
+            return None
+        try:
+            hash(value)
+        except TypeError:
+            return None
+        ids: List[int] = []
+        for vtype in constraint.resolve(self._vertices_by_type.keys()):
+            index = self._property_index(vtype, key)
+            if index is None:
+                return None
+            ids.extend(index.get(value, ()))
+        return ids
+
+    def _property_index(self, vtype: str, key: str) -> Optional[Dict[object, List[int]]]:
+        indexes = self._property_indexes.get(vtype)
+        if indexes is None or key not in indexes:
+            with self._index_lock:
+                indexes = self._property_indexes.setdefault(vtype, {})
+                if key not in indexes:
+                    built = {key: {}}
+                    for vid in self._vertices_by_type.get(vtype, ()):
+                        self._index_vertex(built, key, vid)
+                    indexes[key] = built[key]  # published complete: readers skip the lock
+        return indexes[key]
+
+    def _index_vertex(self, indexes, key: str, vertex_id: int) -> None:
+        if indexes[key] is not None:
+            try:
+                indexes[key].setdefault(self.vertex_property(vertex_id, key), []).append(vertex_id)
+            except TypeError:  # an unhashable stored value: no index for this key
+                indexes[key] = None
 
     # -- edge access ----------------------------------------------------------
     def edge(self, edge_id: int) -> Edge:

@@ -64,17 +64,24 @@ def _serialise(value):
 
 @dataclass(frozen=True)
 class ScanVertex(PhysicalOperator):
-    """Scan data vertices satisfying a type constraint (and optional filters)."""
+    """Scan data vertices satisfying a type constraint (and optional filters).
+
+    ``lookup = (key, value expression)`` from a ``tag.key = literal | $param``
+    conjunct makes the engines probe only the vertices the graph's property
+    index returns for that value (every predicate is still tested).
+    """
 
     tag: str
     constraint: TypeConstraint
     predicates: Tuple[Expr, ...] = ()
     columns: Optional[Tuple[str, ...]] = None
+    lookup: Optional[Tuple[str, Expr]] = None
     inputs: Tuple[PhysicalOperator, ...] = ()
 
     def describe(self) -> str:
         preds = " where %d filter(s)" % len(self.predicates) if self.predicates else ""
-        return "Scan %s:%s%s" % (self.tag, self.constraint.label(), preds)
+        seek = " via index(%s)" % self.lookup[0] if self.lookup else ""
+        return "Scan %s:%s%s%s" % (self.tag, self.constraint.label(), preds, seek)
 
 
 @dataclass(frozen=True)

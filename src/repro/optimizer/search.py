@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import PlanningError
+from repro.gir.expressions import BinaryOp, Expr, Literal, Parameter, Property, conjuncts
 from repro.gir.pattern import PatternEdge, PatternGraph
 from repro.optimizer.cardinality import GlogueQuery
 from repro.optimizer.cost_model import CostModel
@@ -360,6 +361,19 @@ class PatternSearcher:
 
 # -- lowering to physical operators ------------------------------------------------------
 
+def _index_lookup(tag: str, predicates) -> Optional[Tuple[str, Expr]]:
+    """``(key, value)`` of the first top-level conjunct ``tag.key = value``
+    (either side) whose value is a literal or a ``$param``: the scan's seek."""
+    for predicate in predicates:
+        for conjunct in conjuncts(predicate):
+            if isinstance(conjunct, BinaryOp) and conjunct.op == "=":
+                for prop, value in ((conjunct.left, conjunct.right), (conjunct.right, conjunct.left)):
+                    if isinstance(prop, Property) and prop.tag == tag and isinstance(
+                            value, (Literal, Parameter)):
+                        return prop.key, value
+    return None
+
+
 def build_pattern_physical(
     plan: PatternPlanNode, profile: BackendProfile
 ) -> PhysicalOperator:
@@ -371,6 +385,7 @@ def build_pattern_physical(
             constraint=vertex.constraint,
             predicates=vertex.predicates,
             columns=tuple(sorted(vertex.columns)) if vertex.columns is not None else None,
+            lookup=_index_lookup(vertex.name, vertex.predicates),
         )
     if plan.kind == "expand":
         child_op = build_pattern_physical(plan.children[0], profile)

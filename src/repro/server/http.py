@@ -20,6 +20,7 @@ thread-leak fixture watches that prefix.
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
@@ -27,6 +28,9 @@ from urllib.parse import parse_qs, urlsplit
 from repro.errors import GOptError
 from repro.server.app import Response, ServerApp
 from repro.server.protocol import error_to_wire
+
+#: largest request body read into memory; a bigger Content-Length gets a 413
+MAX_BODY_BYTES = 1 << 20
 
 
 class _RequestHandler(BaseHTTPRequestHandler):
@@ -63,15 +67,23 @@ class _RequestHandler(BaseHTTPRequestHandler):
         except ValueError:
             # the body's extent is unknown (and read(-1) would block until
             # the client hangs up), so answer and give the connection up
-            error = error_to_wire(GOptError(
-                "Content-Length must be a non-negative integer"))
-            self._write(Response.json(error.to_dict(), status=error.status,
-                                      headers={"Connection": "close"}))
+            self._refuse(400, "Content-Length must be a non-negative integer")
+            return
+        if length > MAX_BODY_BYTES:
+            # never buffer it: the unread body forfeits the connection
+            self._refuse(413, "Content-Length %d exceeds the %d-byte request "
+                         "body limit" % (length, MAX_BODY_BYTES))
             return
         body = self.rfile.read(length) if length else b""
         response = self.server.app.handle_request(  # type: ignore[attr-defined]
             method, split.path, params, dict(self.headers.items()), body)
         self._write(response)
+
+    def _refuse(self, status: int, message: str) -> None:
+        """A typed error without reading the body, then close the connection."""
+        error = replace(error_to_wire(GOptError(message)), status=status)
+        self._write(Response.json(error.to_dict(), status=status,
+                                  headers={"Connection": "close"}))
 
     def _write(self, response: Response) -> None:
         # 499 has no registered reason phrase; supply one so send_response

@@ -21,6 +21,7 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.server import GraphHTTPServer
+from repro.server.http import MAX_BODY_BYTES
 from repro.server.wire import ErrorWire
 from repro.service import GraphService
 from repro.testing.faults import FaultInjector
@@ -124,10 +125,17 @@ def test_parse_error_maps_to_400(ldbc_client):
         ldbc_client.run("MATCH p:Person RETURN")
 
 
-@pytest.mark.parametrize("content_length", ["abc", "-1"])
+#: Content-Length header -> the status the server must answer it with
+CONTENT_LENGTH_STATUS = {"abc": 400, "-1": 400, str(MAX_BODY_BYTES + 1): 413}
+
+
+@pytest.mark.parametrize("content_length", list(CONTENT_LENGTH_STATUS))
 def test_malformed_content_length_gets_a_typed_400(ldbc_server, content_length):
-    """Neither a dead handler thread with no response nor a read that blocks
-    until the client hangs up: a 400 within 2 s, then the server closes."""
+    """Neither a dead handler thread with no response, nor a read that blocks
+    until the client hangs up, nor an unbounded body buffered in memory: a
+    typed 400 (413 when over the size cap) within 2 s, then the server
+    closes."""
+    status = CONTENT_LENGTH_STATUS[content_length]
     request = ("POST /v1/queries HTTP/1.1\r\nHost: test\r\n"
                "Content-Length: %s\r\n\r\n" % content_length).encode("ascii")
     with socket.create_connection((ldbc_server.host, ldbc_server.port),
@@ -140,9 +148,9 @@ def test_malformed_content_length_gets_a_typed_400(ldbc_server, content_length):
                 break
             raw += chunk
     head, _, body = raw.partition(b"\r\n\r\n")
-    assert head.startswith(b"HTTP/1.1 400 ")
+    assert head.startswith(b"HTTP/1.1 %d " % status)
     error = ErrorWire.from_dict(json.loads(body))
-    assert (error.type, error.status) == ("GOptError", 400)
+    assert (error.type, error.status) == ("GOptError", status)
     assert "Content-Length" in error.message
 
 
