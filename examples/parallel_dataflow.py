@@ -52,8 +52,8 @@ def main() -> None:
               % (workers, rows == reference, metrics.tuples_shuffled,
                  observed.get("shuffled"), effective))
 
-    # streaming cursors work too: an early close cancels the in-flight
-    # workers and drains their channels
+    # streaming cursors work too: the execution starts on the first pull,
+    # and a close from another thread would cancel its in-flight workers
     with service.session(engine="dataflow") as session:
         cursor = session.run(TRAVERSAL)
         first = cursor.fetch_one()

@@ -13,7 +13,7 @@ from repro.backend.runtime.context import (
     ExecutionContext,
     ExecutionOptions,
 )
-from repro.backend.runtime.dataflow import open_dataflow_stream
+from repro.backend.runtime.dataflow import stream_dataflow_rows
 from repro.backend.runtime.streaming import stream_result_rows
 from repro.errors import CancelledError, ExecutionTimeout, GOptError
 from repro.graph.partition import GraphPartitioner
@@ -68,7 +68,7 @@ class ExecutionResult:
     metrics: ExecutionMetrics
     backend: str = ""
     #: observed exchange traffic (dataflow engine only): rows shuffled /
-    #: relocated / broadcast / gathered between partitions
+    #: kept local / relocated / gathered between partitions
     exchange_stats: Optional[Dict[str, int]] = None
     #: per-worker busy time in CPU seconds (dataflow engine only)
     worker_busy: Optional[List[float]] = None
@@ -234,12 +234,13 @@ class ResultCursor:
     # -- measurements -----------------------------------------------------------
     @property
     def exchange_stats(self) -> Optional[Dict[str, int]]:
-        """Observed exchange traffic so far (dataflow engine; ``None`` otherwise).
+        """Observed exchange traffic (dataflow engine; ``None`` otherwise).
 
         Rows that physically moved between partitions, by exchange kind
-        (``shuffled`` / ``local`` / ``relocated`` / ``broadcast`` /
-        ``gathered``) -- the measured counterpart of the simulated
-        ``tuples_shuffled`` work counter.
+        (``shuffled`` / ``local`` / ``relocated`` / ``gathered``) -- the
+        measured counterpart of the simulated ``tuples_shuffled`` work
+        counter.  A dataflow execution starts on the first pull, so this is
+        ``None`` until then.
         """
         if self._ctx.exchange_stats is None:
             return None
@@ -317,7 +318,6 @@ class Backend:
         engine: str = "row",
         batch_size: int = 1024,
         workers: int = 4,
-        fallback_on_fault: bool = True,
     ):
         self.graph = graph
         #: the defaults every execution runs under unless overridden per
@@ -326,11 +326,6 @@ class Backend:
             engine=engine, timeout_seconds=timeout_seconds,
             max_intermediate_results=max_intermediate_results,
             batch_size=batch_size, workers=workers)
-        # infrastructure faults inside the dataflow engine degrade to a
-        # serial row-engine re-execution (``ExecutionMetrics.degraded``)
-        # instead of failing the query; set False to surface the typed
-        # ``WorkerFailure`` to the caller
-        self.fallback_on_fault = fallback_on_fault
 
     # subclasses override to provide a partitioner (distributed backends)
     def _partitioner(self) -> Optional[GraphPartitioner]:
@@ -410,19 +405,18 @@ class Backend:
         keeps a bounded top-k heap -- so no operator materializes more than
         it must (see :attr:`ResultCursor.peak_held_rows`).  Work counters
         and the time/intermediate budget are enforced incrementally as rows
-        are pulled.  The dataflow engine instead starts
-        its worker pipelines in the background immediately -- rows become
-        available after the final gather, and an early close cancels the
+        are pulled.  The dataflow engine also starts on the first pull, but
+        that pull runs its worker pipelines to the final gather before the
+        first row is known; a close from another thread cancels the
         in-flight workers and drains their channels.  An infrastructure
-        fault inside it (a worker crash -- not a query error) degrades to a
-        serial row-engine re-execution when ``fallback_on_fault`` is set,
-        flagged in ``metrics.degraded``.
+        fault inside it (a worker crash -- not a query error) always
+        degrades to a serial row-engine re-execution, flagged in
+        ``metrics.degraded``.
         """
         options = (options or self.options).override(**overrides)
         ctx = self._make_context(options, parameters, cancel_token)
         if options.engine == "dataflow":
-            source = open_dataflow_stream(plan.root, ctx,
-                                          fallback=self.fallback_on_fault)
+            source = stream_dataflow_rows(plan.root, ctx)
         else:
             source = stream_result_rows(plan.root, ctx, options.engine)
         return ResultCursor(ctx, source, backend=self.name)

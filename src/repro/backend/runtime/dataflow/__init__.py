@@ -2,19 +2,22 @@
 
 Physical plans are compiled into per-partition pipelines connected by
 explicit exchange operators -- hash shuffle on the newest bound vertex,
-relocation for tree-shaped anchors, broadcast for small join build sides
-and a lineage-ordered gather for the final merge -- executed by a pool of
-worker threads over :class:`~repro.graph.partition.GraphPartitioner` shards
-with bounded morsel channels.
+relocation for tree-shaped anchors and a lineage-ordered gather for the
+final merge -- executed by a pool of worker threads over
+:class:`~repro.graph.partition.GraphPartitioner` shards, with morsels (plain
+lists of lineage-tagged rows) moving over bounded channels.  Pipeline
+breakers, joins included, run at the driver through the row engine.
 
 The engine produces the same rows in the same order, and charges the same
-work counters, as the serial row engine; the communication it *observes* at
-its exchanges reconciles with the counts the ``graphscope_like`` backend
-*simulates*, turning the optimizer's communication cost model into a
-testable prediction.
+work counters, as the serial row engine; its one job is to *observe* at its
+exchanges the communication that the ``graphscope_like`` backend
+*simulates*, which turns the optimizer's communication cost model into a
+testable prediction.  An execution starts on the consumer's first pull
+(:func:`stream_dataflow_rows`), and an infrastructure fault degrades to a
+serial row-engine re-execution (:func:`recover_on_row_engine`).
 """
 
-from repro.backend.runtime.dataflow.channel import Channel, Morsel, morselize
+from repro.backend.runtime.dataflow.channel import Channel
 from repro.backend.runtime.dataflow.exchange import ExchangeSpec, ExchangeStats
 from repro.backend.runtime.dataflow.plan import (
     Pipeline,
@@ -25,28 +28,22 @@ from repro.backend.runtime.dataflow.plan import (
     plan_refcounts,
 )
 from repro.backend.runtime.dataflow.runtime import (
-    BROADCAST_THRESHOLD,
     DataflowExecutor,
-    DataflowRowStream,
-    open_dataflow_stream,
     recover_on_row_engine,
+    stream_dataflow_rows,
 )
 
 __all__ = [
-    "BROADCAST_THRESHOLD",
     "Channel",
     "DataflowExecutor",
-    "DataflowRowStream",
     "ExchangeSpec",
     "ExchangeStats",
-    "Morsel",
     "Pipeline",
     "SegmentPlan",
     "StepSpec",
     "build_pipelines",
     "extract_segment",
-    "morselize",
-    "open_dataflow_stream",
     "plan_refcounts",
     "recover_on_row_engine",
+    "stream_dataflow_rows",
 ]

@@ -15,11 +15,11 @@ Three kinds of data movement connect the per-partition pipelines:
   repartitioning into its per-expansion estimate instead of pricing it, so
   relocation traffic is recorded in :class:`ExchangeStats` but not charged
   to ``tuples_shuffled``.
-* **broadcast / gather** -- replicate a small join build side to every
-  partition, and merge the final per-partition outputs at the driver.  Both
-  are recorded as observed traffic; the driver-side operators charge the
-  simulated communication through the row-engine handlers they reuse, so
-  the work counters stay identical to the serial engines.
+* **gather** -- merge the final per-partition outputs of a segment at the
+  driver, in lineage order.  Recorded as observed traffic; the driver-side
+  pipeline breakers (joins included) then charge the simulated
+  communication through the row-engine handlers they reuse, so the work
+  counters stay identical to the serial engines.
 
 :class:`ExchangeStats` is the observability surface: every physical row (or
 coalesced bundle) that moved, by exchange kind.
@@ -34,7 +34,7 @@ from typing import Dict
 class ExchangeStats:
     """Thread-safe counts of rows that physically moved between partitions."""
 
-    __slots__ = ("_lock", "shuffled", "local", "relocated", "broadcast", "gathered")
+    __slots__ = ("_lock", "shuffled", "local", "relocated", "gathered")
 
     def __init__(self):
         self._lock = threading.Lock()
@@ -44,8 +44,6 @@ class ExchangeStats:
         self.local = 0
         #: rows moved by unpriced anchor re-localization
         self.relocated = 0
-        #: build-side rows replicated to other partitions for a broadcast join
-        self.broadcast = 0
         #: rows collected from the partitions by the driver's final merge
         self.gathered = 0
 
@@ -58,10 +56,6 @@ class ExchangeStats:
         with self._lock:
             self.relocated += crossed
 
-    def record_broadcast(self, rows: int) -> None:
-        with self._lock:
-            self.broadcast += rows
-
     def record_gather(self, rows: int) -> None:
         with self._lock:
             self.gathered += rows
@@ -72,7 +66,6 @@ class ExchangeStats:
                 "shuffled": self.shuffled,
                 "local": self.local,
                 "relocated": self.relocated,
-                "broadcast": self.broadcast,
                 "gathered": self.gathered,
             }
 

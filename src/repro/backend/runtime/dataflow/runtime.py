@@ -14,9 +14,7 @@ dataflow engine (GraphScope/Gaia) would, inside one process:
 * pipeline breakers (Sort, Aggregate, HashJoin, Limit, Dedup, Union) run at
   the driver through the row pipeline's handlers over gathered rows, so
   their results -- and their simulated communication charges -- are
-  identical to the row engine's;
-* small build sides of inner hash joins are broadcast to the partitions and
-  probed in parallel instead of gathering the probe side.
+  identical to the row engine's.
 
 Rows carry lineage tuples; the final gather merges all partitions' outputs
 in lineage order, which reproduces the serial row engine's row order exactly
@@ -25,6 +23,10 @@ work counters as the row and vectorized engines.  Communication observed at
 priced exchanges is charged to the ``tuples_shuffled`` counter and must
 reconcile with the simulated counts of the ``graphscope_like`` cost model
 (see :mod:`repro.backend.runtime.dataflow.exchange`).
+
+:func:`stream_dataflow_rows` is the engine's row stream: it runs the
+executor on the consumer's first pull and contains an infrastructure fault
+by the one recovery path, :func:`recover_on_row_engine`.
 """
 
 from __future__ import annotations
@@ -32,16 +34,11 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.backend.runtime.binding import VRef
 from repro.backend.runtime.context import ExecutionContext
-from repro.backend.runtime.dataflow.channel import (
-    Channel,
-    Morsel,
-    Pair,
-    morselize,
-)
+from repro.backend.runtime.dataflow.channel import Channel, Pair
 from repro.backend.runtime.dataflow.exchange import ExchangeStats
 from repro.backend.runtime.dataflow.plan import (
     Pipeline,
@@ -52,23 +49,19 @@ from repro.backend.runtime.dataflow.plan import (
 )
 from repro.backend.runtime.dataflow.steps import charge_outputs
 from repro.backend.runtime.kernels import registry
-from repro.backend.runtime.kernels.common import Row, merge_rows, scan_candidates
+from repro.backend.runtime.kernels.common import Row, scan_candidates
 from repro.backend.runtime.streaming import execute_operator
-from repro.errors import CancelledError, ExecutionTimeout, GOptError, WorkerFailure
+from repro.errors import ExecutionTimeout, GOptError, WorkerFailure
 from repro.graph.partition import GraphPartitioner
-from repro.optimizer.physical_plan import HashJoin, PhysicalOperator
+from repro.optimizer.physical_plan import PhysicalOperator
 from repro.testing.faults import fault_point
-
-#: build sides larger than this are not broadcast (the driver handler joins
-#: gathered rows instead); generous for the repo's simulated graph sizes
-BROADCAST_THRESHOLD = 4096
 
 #: how long an idle worker sleeps before rescanning for runnable actors
 _IDLE_SLEEP = 0.0005
 
 
 class _CancelledError(Exception):
-    """Internal: the execution was cancelled (early cursor close)."""
+    """Internal: a peer worker failed, so this one unwinds too."""
 
 
 class _SharedBudget:
@@ -122,8 +115,8 @@ class _Actor:
         self.source_items = source_items
         self.source_offset = 0
         self.in_channel = in_channel
-        #: routed but not yet delivered output: deque of (dest_partition, Morsel)
-        self.pending: "deque[Tuple[int, Morsel]]" = deque()
+        #: routed but not yet delivered output: deque of (dest_partition, morsel)
+        self.pending: "deque[Tuple[int, List[Pair]]]" = deque()
         self.done = False
         self.claimed = False
 
@@ -144,8 +137,7 @@ class _Actor:
 
     def _next_chunk(self) -> Optional[List]:
         if self.in_channel is not None:
-            morsel = self.in_channel.try_get()
-            return morsel.pairs() if morsel is not None else None
+            return self.in_channel.try_get()
         items = self.source_items or []
         if self.source_offset >= len(items):
             return None
@@ -226,9 +218,10 @@ class _Actor:
                 self.fork.counters.tuples_shuffled += crossed
         else:
             stats.record_relocate(crossed)
+        size = runner.morsel_rows
         for dest, dest_pairs in groups.items():
-            for morsel in morselize(dest_pairs, runner.morsel_rows):
-                self.pending.append((dest, morsel))
+            for start in range(0, len(dest_pairs), size):
+                self.pending.append((dest, dest_pairs[start:start + size]))
 
     def _flush(self) -> None:
         while self.pending:
@@ -271,17 +264,9 @@ class _SegmentRunner:
             for channel in self.channels[stage + 1]:
                 channel.close()
 
-    def drain(self) -> None:
-        """Empty every channel (cancellation path: free buffered morsels)."""
-        for stage_channels in self.channels:
-            if stage_channels is None:
-                continue
-            for channel in stage_channels:
-                channel.close()
-                channel.drain()
-
-    def poison_all(self, error: BaseException) -> None:
-        """A worker failed: kill every channel so peers unwind promptly.
+    def poison_all(self) -> None:
+        """Kill every channel: when a worker failed, so peers unwind promptly,
+        and after the run, so a cancelled segment frees its buffered morsels.
 
         Poisoned channels read as exhausted and swallow further puts, so no
         actor can block on -- or keep filling -- a queue whose segment is
@@ -291,7 +276,7 @@ class _SegmentRunner:
             if stage_channels is None:
                 continue
             for channel in stage_channels:
-                channel.poison(error)
+                channel.poison()
 
     # -- setup -----------------------------------------------------------------
     def build_actors(self, sources: List[List]) -> None:
@@ -359,9 +344,6 @@ class DataflowExecutor:
             self.ctx.exchange_stats = self.stats
             self.ctx.worker_busy = list(self.worker_busy)
 
-    def cancel(self) -> None:
-        self._cancel.set()
-
     def cancelled(self) -> bool:
         return self._cancel.is_set() or self.ctx.cancel_token.cancelled
 
@@ -379,11 +361,6 @@ class DataflowExecutor:
             rows = self._run_segment(segment)
             self.ctx.cache_result(id(op), rows, op)
             return rows
-        if isinstance(op, HashJoin) and op.join_type == "inner":
-            rows = self._try_broadcast_join(op)
-            if rows is not None:
-                self.ctx.cache_result(id(op), rows, op)
-                return rows
         for child in op.inputs:
             self._node(child)
         # children are now operator-cached: the serial handler interprets
@@ -414,7 +391,7 @@ class DataflowExecutor:
             sources[partition].append(((index,), row))
         return sources
 
-    def _run_segment(self, segment: SegmentPlan, gather: bool = True):
+    def _run_segment(self, segment: SegmentPlan) -> List[Row]:
         ctx = self.ctx
         sources = self._segment_sources(segment)
         # one operators_executed tick per chain operator, like the row engine
@@ -426,13 +403,11 @@ class DataflowExecutor:
             self._run_pool(runner)
         finally:
             runner.merge_counters()
-            runner.drain()
+            runner.poison_all()
         if self._error is not None:
             error, self._error = self._error, None
             raise self._wrap_failure(error)
         self._check_cancelled()
-        if not gather:
-            return runner.output
         pairs: List[Pair] = []
         for partition_pairs in runner.output:
             pairs.extend(partition_pairs)
@@ -478,7 +453,7 @@ class DataflowExecutor:
                 claimed.quantum()
             except BaseException as error:  # noqa: BLE001 - forwarded to driver
                 self._fail(error, worker_id=slot)
-                runner.poison_all(error)
+                runner.poison_all()
             finally:
                 self.worker_busy[slot] += time.thread_time() - started
                 with lock:
@@ -513,110 +488,6 @@ class DataflowExecutor:
             cause=error,
         )
 
-    # -- broadcast hash join ---------------------------------------------------
-    def _try_broadcast_join(self, op: HashJoin) -> Optional[List[Row]]:
-        """Parallel inner join: broadcast a small build side to the shards.
-
-        The left child is gathered (it may be any subtree); when it is small
-        enough -- and no larger than the right side, which is where the row
-        engine would put the build side too -- the right segment's rows stay
-        partitioned and are probed in parallel against the replicated build
-        table.  Falls back to the driver handler otherwise.
-        """
-        left, right = op.inputs[0], op.inputs[1]
-        if self.refcounts.get(id(right), 1) != 1:
-            return None
-        right_segment = extract_segment(right, self.refcounts)
-        if right_segment is None:
-            return None
-        build_rows = self._node(left)
-        if len(build_rows) > BROADCAST_THRESHOLD:
-            return None
-        partitions = self._run_segment(right_segment, gather=False)
-        probe_total = sum(len(pairs) for pairs in partitions)
-        if len(build_rows) > probe_total:
-            # the row engine would build on the (smaller) right side; gather
-            # it and let the driver handler take over
-            self._cache_gathered(right, partitions)
-            return None
-        self.ctx.counters.operators_executed += 1
-        # replicate the build table: zero-copy in-process, but the traffic a
-        # real runtime would ship is observed in the exchange stats
-        self.stats.record_broadcast(
-            len(build_rows) * max(0, self.num_partitions - 1))
-        index: Dict[Tuple, List[Row]] = {}
-        for row in build_rows:
-            index.setdefault(tuple(row.get(k) for k in op.keys), []).append(row)
-        outputs: List[List[Pair]] = [[] for _ in range(self.num_partitions)]
-
-        def probe(partition: int) -> None:
-            out = outputs[partition]
-            for seq, row in partitions[partition]:
-                key = tuple(row.get(k) for k in op.keys)
-                for position, build in enumerate(index.get(key, ())):
-                    merged = merge_rows(build, row)
-                    if merged is not None:
-                        out.append((seq + (position,), merged))
-
-        self._parallel_partitions(probe)
-        pairs = [pair for partition_pairs in outputs for pair in partition_pairs]
-        pairs.sort(key=lambda pair: pair[0])
-        rows = [row for _, row in pairs]
-        # identical accounting to the serial HashJoin handler: both sides are
-        # repartitioned (simulated), then the join output is charged
-        self.ctx.charge_shuffle(len(build_rows) + probe_total)
-        self.ctx.counters.cells_produced += sum(len(row) for row in rows)
-        self.ctx.charge_intermediate(len(rows))
-        self.stats.record_gather(len(rows))
-        return rows
-
-    def _cache_gathered(self, op: PhysicalOperator,
-                        partitions: List[List[Pair]]) -> None:
-        pairs = [pair for partition_pairs in partitions for pair in partition_pairs]
-        self.stats.record_gather(len(pairs))
-        pairs.sort(key=lambda pair: pair[0])
-        self.ctx.cache_result(id(op), [row for _, row in pairs], op)
-
-    def _parallel_partitions(self, task) -> None:
-        """Run ``task(partition)`` for every partition on the worker pool."""
-        if self.num_threads == 1 or self.num_partitions == 1:
-            for partition in range(self.num_partitions):
-                self._check_cancelled()
-                started = time.thread_time()
-                try:
-                    task(partition)
-                finally:
-                    self.worker_busy[0] += time.thread_time() - started
-            return
-        pending = list(range(self.num_partitions))
-        lock = threading.Lock()
-
-        def loop(slot: int) -> None:
-            while not self._cancel.is_set():
-                with lock:
-                    if not pending:
-                        return
-                    partition = pending.pop()
-                started = time.thread_time()
-                try:
-                    task(partition)
-                except BaseException as error:  # noqa: BLE001
-                    self._fail(error, worker_id=slot)
-                finally:
-                    self.worker_busy[slot] += time.thread_time() - started
-
-        threads = [threading.Thread(target=loop, args=(slot,),
-                                    name="dataflow-partition-%d" % slot,
-                                    daemon=True)
-                   for slot in range(self.num_threads)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if self._error is not None:
-            error, self._error = self._error, None
-            raise self._wrap_failure(error)
-
 
 def recover_on_row_engine(root: PhysicalOperator, ctx: ExecutionContext,
                           failure: WorkerFailure) -> List[Row]:
@@ -646,97 +517,22 @@ def recover_on_row_engine(root: PhysicalOperator, ctx: ExecutionContext,
     return rows
 
 
-class DataflowRowStream:
-    """Iterator handle over a dataflow execution running in the background.
+def stream_dataflow_rows(root: PhysicalOperator,
+                         ctx: ExecutionContext) -> Iterator[Row]:
+    """The rows of a dataflow execution that starts on the first pull.
 
-    The execution starts immediately on a driver thread; rows become
-    available once the final gather completes (the dataflow engine's output
-    order is only known after the lineage merge).  ``close()`` cancels the
-    run mid-flight: workers stop at the next morsel boundary and every
-    channel is drained, which the stress tests rely on for deadlock-freedom.
+    As with the serial pipelines, nothing runs -- and no thread starts --
+    until the consumer asks for a row.  That pull runs the whole execution
+    on the consumer's thread (the worker pool included), since the row
+    order is known only after the lineage-ordered gather.  A cancel (a
+    cursor closed from another thread, an executor shutdown) stops the
+    workers at their next checkpoint and surfaces as ``CancelledError``;
+    :class:`~repro.backend.base.ResultCursor` decides whether that ends the
+    stream quietly or reaches the consumer.  An infrastructure fault is
+    contained by :func:`recover_on_row_engine`.
     """
-
-    def __init__(self, root: PhysicalOperator, ctx: ExecutionContext,
-                 fallback: bool = True):
-        self._executor = DataflowExecutor(ctx)
-        self._fallback = fallback
-        self._rows: Optional[List[Row]] = None
-        self._error: Optional[BaseException] = None
-        self._index = 0
-        self._closed = False
-        self._finished = threading.Event()
-        self._thread = threading.Thread(target=self._drive, args=(root,),
-                                        name="dataflow-driver", daemon=True)
-        self._thread.start()
-
-    def _drive(self, root: PhysicalOperator) -> None:
-        try:
-            self._rows = self._executor.run(root)
-        except (_CancelledError, CancelledError) as error:
-            self._rows = []
-            self._note_cancelled(error)
-        except WorkerFailure as failure:
-            if not self._fallback:
-                self._error = failure
-            else:
-                # infrastructure fault: contain it by re-executing serially
-                # (query errors never reach here -- they are not wrapped)
-                try:
-                    self._rows = recover_on_row_engine(
-                        root, self._executor.ctx, failure)
-                except (_CancelledError, CancelledError) as error:
-                    self._rows = []
-                    self._note_cancelled(error)
-                except BaseException as error:  # noqa: BLE001
-                    self._error = error
-        except BaseException as error:  # noqa: BLE001 - re-raised on next()
-            self._error = error
-        finally:
-            self._finished.set()
-
-    def _note_cancelled(self, error: BaseException) -> None:
-        """An early close() ends quietly; an external cancel must surface.
-
-        Swallowing an executor-shutdown cancel would present the truncated
-        (here: empty) result as a complete one, so unless this stream's own
-        ``close()`` initiated the cancellation, the error is kept for the
-        consumer's next pull.
-        """
-        if not self._closed:
-            self._error = (error if isinstance(error, CancelledError)
-                           else CancelledError("execution cancelled"))
-
-    def __iter__(self) -> "DataflowRowStream":
-        return self
-
-    def __next__(self) -> Row:
-        if self._closed:
-            raise StopIteration
-        self._finished.wait()
-        if self._error is not None:
-            error, self._error = self._error, None
-            raise error
-        rows = self._rows or []
-        if self._index >= len(rows):
-            raise StopIteration
-        row = rows[self._index]
-        self._index += 1
-        return row
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._executor.ctx.cancel_token.cancel("cursor closed")
-        self._executor.cancel()
-        # workers notice the cancel at morsel boundaries and driver operators
-        # on their deadline checks; only a single uninterruptible primitive
-        # (one huge sort already in progress) can outlive this join, in which
-        # case the daemon thread finishes on its own and is simply abandoned
-        self._thread.join(timeout=30.0)
-
-
-def open_dataflow_stream(root: PhysicalOperator, ctx: ExecutionContext,
-                         fallback: bool = True) -> DataflowRowStream:
-    """Begin a dataflow execution whose rows are consumed lazily."""
-    return DataflowRowStream(root, ctx, fallback=fallback)
+    try:
+        rows = DataflowExecutor(ctx).run(root)
+    except WorkerFailure as failure:
+        rows = recover_on_row_engine(root, ctx, failure)
+    yield from rows

@@ -8,13 +8,12 @@ pytest-benchmark targets; the same functions run at reduced scale inside the
 test suite.
 """
 
-from repro.bench.pipelines import build_optimizer, make_backend
+from repro.bench.pipelines import build_optimizer
 from repro.bench.reporting import format_table, geometric_mean, speedup
 from repro.bench import experiments
 
 __all__ = [
     "build_optimizer",
-    "make_backend",
     "format_table",
     "geometric_mean",
     "speedup",

@@ -12,7 +12,7 @@ import time
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.backend import Backend
-from repro.bench.pipelines import build_optimizer, make_backend
+from repro.bench.pipelines import build_optimizer
 from repro.bench.reporting import OT, runtime_or_ot
 from repro.datasets import finance_graph, ldbc_snb_graph
 from repro.gir.operators import AggregateFunction
@@ -26,6 +26,7 @@ from repro.optimizer.physical_plan import Aggregate, PhysicalPlan
 from repro.optimizer.physical_spec import graphscope_profile
 from repro.optimizer.planner import GOptimizer, OptimizerConfig
 from repro.optimizer.search import PatternSearcher, build_pattern_physical
+from repro.service import GraphService
 from repro.workloads import bi_queries, ic_queries, qc_queries, qr_queries, qt_queries
 from repro.workloads.base import Query
 from repro.workloads.st_paths import (
@@ -34,6 +35,10 @@ from repro.workloads.st_paths import (
     split_plan,
     st_path_pattern,
 )
+
+#: execution budgets of every experiment's backend: generous enough for good
+#: plans, small enough that pathological plans register as OT in seconds
+BUDGETS = {"timeout_seconds": 20.0, "max_intermediate_results": 400_000}
 
 
 # -- shared helpers ----------------------------------------------------------------------
@@ -120,7 +125,7 @@ def heuristic_rules_experiment(
     Following the paper, type inference and CBO are disabled on both sides so
     only the rules differ.
     """
-    backend = backend or make_backend(graph, "graphscope")
+    backend = backend or GraphService.make_backend("graphscope", graph, BUDGETS)
     glogue = glogue or Glogue.from_graph(graph)
     with_rules = GOptimizer.for_graph(
         graph, profile=backend.profile(), glogue=glogue,
@@ -158,7 +163,7 @@ def type_inference_experiment(
     (plans follow the written matching order) so the measured difference is
     the inference's pruning of irrelevant types during execution.
     """
-    backend = backend or make_backend(graph, "graphscope")
+    backend = backend or GraphService.make_backend("graphscope", graph, BUDGETS)
     glogue = glogue or Glogue.from_graph(graph)
     with_inference = GOptimizer.for_graph(
         graph, profile=backend.profile(), glogue=glogue,
@@ -191,7 +196,7 @@ def cbo_experiment(
     glogue: Optional[Glogue] = None,
 ) -> List[Dict[str, object]]:
     """QC1..4(a|b): GOpt-plan vs GOpt-Neo-plan vs random plans (Fig. 8(c))."""
-    backend = backend or make_backend(graph, "graphscope")
+    backend = backend or GraphService.make_backend("graphscope", graph, BUDGETS)
     glogue = glogue or Glogue.from_graph(graph)
     profile = backend.profile()
     gopt = build_optimizer(graph, "gopt", profile=profile, glogue=glogue)
@@ -228,7 +233,7 @@ def cardinality_experiment(
     glogue: Optional[Glogue] = None,
 ) -> List[Dict[str, object]]:
     """QC1..4(a|b) planned with high-order vs low-order statistics (Fig. 8(d))."""
-    backend = backend or make_backend(graph, "graphscope")
+    backend = backend or GraphService.make_backend("graphscope", graph, BUDGETS)
     glogue = glogue or Glogue.from_graph(graph)
     profile = backend.profile()
     high_order = build_optimizer(graph, "gopt", profile=profile, glogue=glogue)
@@ -257,7 +262,7 @@ def gremlin_experiment(
     glogue: Optional[Glogue] = None,
 ) -> List[Dict[str, object]]:
     """Gremlin QR/QC queries: GOpt-plan vs GraphScope's native GS-plan (Fig. 8(e))."""
-    backend = backend or make_backend(graph, "graphscope")
+    backend = backend or GraphService.make_backend("graphscope", graph, BUDGETS)
     glogue = glogue or Glogue.from_graph(graph)
     profile = backend.profile()
     gopt = build_optimizer(graph, "gopt", profile=profile, glogue=glogue)
@@ -290,7 +295,7 @@ def ldbc_experiment(
     glogue: Optional[Glogue] = None,
 ) -> List[Dict[str, object]]:
     """IC/BI workloads: Neo4j-plan vs GOpt-plan on one backend (Fig. 9(a)/(b))."""
-    backend = backend or make_backend(graph, backend_kind)
+    backend = backend or GraphService.make_backend(backend_kind, graph, BUDGETS)
     glogue = glogue or Glogue.from_graph(graph)
     gopt = build_optimizer(graph, "gopt", profile=backend.profile(), glogue=glogue)
     neo4j_planner = build_optimizer(graph, "neo4j", glogue=glogue)
@@ -332,8 +337,8 @@ def scaling_experiment(
     rows = []
     for scale in scales:
         graph = ldbc_snb_graph(scale, seed=seed)
-        backend = make_backend(graph, "graphscope", timeout_seconds=timeout_seconds,
-                               engine=engine)
+        backend = GraphService.make_backend("graphscope", graph, {
+            **BUDGETS, "timeout_seconds": timeout_seconds, "engine": engine})
         glogue = Glogue.from_graph(graph)
         optimizer = build_optimizer(graph, "gopt", profile=backend.profile(), glogue=glogue)
         for query in queries:
@@ -365,7 +370,7 @@ def engine_comparison_experiment(
     ``rows_match`` column double-checks result equivalence inside the
     benchmark itself.
     """
-    backend = backend or make_backend(graph, backend_kind)
+    backend = backend or GraphService.make_backend(backend_kind, graph, BUDGETS)
     glogue = glogue or Glogue.from_graph(graph)
     optimizer = build_optimizer(graph, "gopt", profile=backend.profile(), glogue=glogue)
     queries = list(ic_queries()) + list(bi_queries())
@@ -431,7 +436,7 @@ def concurrent_serving_experiment(
     reported cache hit rate shows prepared/parameterized plans being reused
     across values: one plan-cache entry per template, not per value.
     """
-    from repro.service import ConcurrentExecutor, GraphService, QueryRequest
+    from repro.service import ConcurrentExecutor, QueryRequest
 
     glogue = glogue or Glogue.from_graph(graph)
     person_ids = [graph.vertex_property(v, "id") for v in
@@ -451,8 +456,8 @@ def concurrent_serving_experiment(
 
     rows = []
     for engine in engines:
-        backend = make_backend(graph, backend_kind, engine=engine,
-                               timeout_seconds=deadline_seconds)
+        backend = GraphService.make_backend(backend_kind, graph, {
+            **BUDGETS, "timeout_seconds": deadline_seconds, "engine": engine})
         optimizer = build_optimizer(graph, "gopt", profile=backend.profile(),
                                     glogue=glogue)
         service = GraphService(graph, backend=backend, optimizer=optimizer)
@@ -568,9 +573,9 @@ def intra_query_parallelism_experiment(
 
     rows = []
     for scale, data_graph, data_glogue in datasets:
-        backend = make_backend(data_graph, "graphscope",
-                               timeout_seconds=timeout_seconds,
-                               num_partitions=num_partitions, engine="dataflow")
+        backend = GraphService.make_backend("graphscope", data_graph, {
+            **BUDGETS, "timeout_seconds": timeout_seconds,
+            "num_partitions": num_partitions, "engine": "dataflow"})
         optimizer = build_optimizer(data_graph, "gopt", profile=backend.profile(),
                                     glogue=data_glogue)
         skew = GraphPartitioner(num_partitions).skew(data_graph.vertices())
@@ -615,7 +620,7 @@ def st_path_experiment(
     """
     if graph is None or id_sets is None:
         graph, id_sets = finance_graph()
-    backend = backend or make_backend(graph, "graphscope")
+    backend = backend or GraphService.make_backend("graphscope", graph, BUDGETS)
     profile = graphscope_profile()
     glogue = Glogue.from_graph(graph)
     gq = GlogueQuery(glogue)

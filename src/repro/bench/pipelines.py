@@ -1,4 +1,4 @@
-"""Factories for the optimizer/back-end configurations the experiments compare.
+"""Factory for the optimizer configurations the experiments compare.
 
 The paper compares several plan-producing pipelines:
 
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.backend import Backend, GraphScopeLikeBackend, Neo4jLikeBackend
 from repro.graph.property_graph import PropertyGraph
 from repro.optimizer.baselines import CypherPlannerBaseline
 from repro.optimizer.cardinality import GlogueQuery
@@ -30,35 +29,6 @@ from repro.optimizer.physical_spec import (
     neo4j_profile,
 )
 from repro.optimizer.planner import GOptimizer, OptimizerConfig
-
-#: default execution budgets for experiment runs: generous enough for good
-#: plans, small enough that pathological plans register as OT in seconds.
-DEFAULT_TIMEOUT_SECONDS = 20.0
-DEFAULT_MAX_INTERMEDIATE = 400_000
-
-
-def make_backend(
-    graph: PropertyGraph,
-    kind: str = "graphscope",
-    timeout_seconds: float = DEFAULT_TIMEOUT_SECONDS,
-    max_intermediate_results: int = DEFAULT_MAX_INTERMEDIATE,
-    num_partitions: int = 4,
-    engine: str = "row",
-    batch_size: int = 1024,
-    workers: int = 4,
-) -> Backend:
-    """Create an execution backend with the experiment budgets applied."""
-    if kind == "neo4j":
-        return Neo4jLikeBackend(graph, max_intermediate_results=max_intermediate_results,
-                                timeout_seconds=timeout_seconds,
-                                engine=engine, batch_size=batch_size, workers=workers)
-    if kind == "graphscope":
-        return GraphScopeLikeBackend(graph, num_partitions=num_partitions,
-                                     max_intermediate_results=max_intermediate_results,
-                                     timeout_seconds=timeout_seconds,
-                                     engine=engine, batch_size=batch_size,
-                                     workers=workers)
-    raise ValueError("unknown backend kind %r" % (kind,))
 
 
 def build_optimizer(

@@ -106,9 +106,10 @@ class WorkerFailure(ExecutionError):
     by the plan itself, e.g. a missing parameter): a ``WorkerFailure`` wraps
     an unexpected non-GOpt exception raised while executing a plan fragment.
     The dataflow executor poisons the failing worker's output channels so
-    peers unwind promptly, discards partial results, and surfaces this --
-    and the backend may then degrade gracefully by re-executing the plan on
-    the single-threaded row engine (``ExecutionMetrics.degraded``).
+    peers unwind promptly, discards partial results, and raises this; the
+    backend then always degrades by re-executing the plan on the
+    single-threaded row engine (``ExecutionMetrics.degraded``).  Nothing
+    retries it in-process; it stays the typed class a server maps to 503.
 
     Attributes:
         worker_id: index of the worker thread that failed (-1 for the driver).

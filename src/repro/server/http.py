@@ -20,6 +20,7 @@ thread-leak fixture watches that prefix.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
@@ -31,6 +32,11 @@ from repro.server.protocol import error_to_wire
 
 #: largest request body read into memory; a bigger Content-Length gets a 413
 MAX_BODY_BYTES = 1 << 20
+
+#: the whole request body must arrive within this many seconds, or the
+#: request gets a 408 (only the body read is timed: an idle keep-alive
+#: connection waiting for its next request has no timeout)
+BODY_TIMEOUT_SECONDS = 10.0
 
 
 class _RequestHandler(BaseHTTPRequestHandler):
@@ -74,10 +80,36 @@ class _RequestHandler(BaseHTTPRequestHandler):
             self._refuse(413, "Content-Length %d exceeds the %d-byte request "
                          "body limit" % (length, MAX_BODY_BYTES))
             return
-        body = self.rfile.read(length) if length else b""
+        try:
+            body = self._read_body(length) if length else b""
+        except TimeoutError:
+            # a client that declared more body than it sends (slow-loris)
+            # must not hold this handler thread until it hangs up
+            self._refuse(408, "request body of %d bytes not received within "
+                         "%g s" % (length, BODY_TIMEOUT_SECONDS))
+            return
         response = self.server.app.handle_request(  # type: ignore[attr-defined]
             method, split.path, params, dict(self.headers.items()), body)
         self._write(response)
+
+    def _read_body(self, length: int) -> bytes:
+        """``length`` body bytes (fewer if the client hangs up first),
+        raising ``TimeoutError`` past :data:`BODY_TIMEOUT_SECONDS`."""
+        deadline = time.monotonic() + BODY_TIMEOUT_SECONDS
+        body = bytearray()
+        try:
+            while len(body) < length:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise TimeoutError("request body timed out")
+                self.connection.settimeout(remaining)
+                chunk = self.rfile.read1(length - len(body))
+                if not chunk:
+                    break
+                body += chunk
+        finally:
+            self.connection.settimeout(None)
+        return bytes(body)
 
     def _refuse(self, status: int, message: str) -> None:
         """A typed error without reading the body, then close the connection."""

@@ -18,7 +18,7 @@ exception                             status  notes
 ``NotFoundError``                     404     unknown session / cursor / statement
 ``ServiceOverloadedError``            429     + ``Retry-After`` header (EWMA hint)
 ``CancelledError``                    499     client went away / server cancelled
-``WorkerFailure``                     503     infrastructure fault after retries
+``WorkerFailure``                     503     uncontained infrastructure fault
 ``ExecutionTimeout``                  504     deadline exceeded
 ``GOptError`` (any other subclass)    400     query-side error by definition
 anything else                         500     a server bug, never a query error

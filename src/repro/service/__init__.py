@@ -18,7 +18,7 @@ driver/session architecture of real graph stores:
   bounded-memory consumption of large results is the default;
 * :class:`ConcurrentExecutor` fans query workloads over a thread pool of
   sessions with per-query deadlines, cooperative cancellation
-  (``shutdown(cancel=True)``) and bounded retry of infrastructure faults;
+  (``shutdown(cancel=True)``) and per-query fault isolation;
 * :class:`AdmissionController` bounds the executor's intake -- queue depth,
   per-client quotas and queue-time deadlines -- fast-rejecting excess load
   with :class:`~repro.errors.ServiceOverloadedError` and a retry-after hint.

@@ -9,7 +9,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.backend.base import ExecutionMetrics
 from repro.backend.runtime.context import InFlightTokens
-from repro.errors import GOptError, ServiceOverloadedError, WorkerFailure
+from repro.errors import GOptError, ServiceOverloadedError
 from repro.service.admission import AdmissionController, AdmissionStats, AdmissionTicket
 from repro.service.session import Session
 from repro.testing.faults import fault_point
@@ -41,7 +41,6 @@ class QueryOutcome:
     rows: List[dict] = field(default_factory=list)
     metrics: Optional[ExecutionMetrics] = None
     error: Optional[str] = None
-    attempts: int = 1
     retry_after_seconds: Optional[float] = None
 
     @property
@@ -83,10 +82,10 @@ class ConcurrentExecutor:
     before a worker picks them up are dropped unexecuted.  With none of
     these set, submission is unbounded (the legacy behavior).
 
-    ``max_retries`` re-runs a query that failed with an *infrastructure*
-    fault (:class:`~repro.errors.WorkerFailure`) after an exponential
-    backoff; query errors (bad syntax, timeouts, cancellation) are never
-    retried -- they would fail identically.
+    Nothing is retried: a dataflow infrastructure fault has already been
+    contained by the backend's row-engine re-execution (``degraded``), and
+    query errors (bad syntax, timeouts, cancellation) would fail
+    identically.
 
     Every in-flight query carries a cancellation token;
     ``shutdown(cancel=True)`` cancels them all, so draining the pool waits
@@ -107,21 +106,15 @@ class ConcurrentExecutor:
         max_queue_depth: Optional[int] = None,
         queue_timeout_seconds: Optional[float] = None,
         per_client_limit: Optional[int] = None,
-        max_retries: int = 0,
-        retry_backoff_seconds: float = 0.05,
         admission: Optional[AdmissionController] = None,
     ):
         if max_workers < 1:
             raise GOptError("max_workers must be >= 1")
-        if max_retries < 0:
-            raise GOptError("max_retries must be >= 0")
         self._service = service
         # resolved once; every query's session runs under this one value
         self._options = service.backend.options.override(engine=engine)
         if deadline_seconds is not None:
             self._options = self._options.override(timeout_seconds=deadline_seconds)
-        self._max_retries = max_retries
-        self._retry_backoff = retry_backoff_seconds
         self._admission = AdmissionController.for_front_end(
             admission, max_workers, max_queue_depth, queue_timeout_seconds,
             per_client_limit)
@@ -212,37 +205,24 @@ class ConcurrentExecutor:
                         request=request,
                         error="ServiceOverloadedError: %s" % (exc,),
                         retry_after_seconds=exc.retry_after_seconds)
-            return self._attempt_with_retries(request)
+            return self._execute(request)
         finally:
             if ticket is not None:
                 self._admission.finish(ticket)
 
-    def _attempt_with_retries(self, request: QueryRequest) -> QueryOutcome:
-        attempts = self._max_retries + 1
-        for attempt in range(1, attempts + 1):
-            with self._active.track() as token:
-                try:
-                    fault_point("service.execute", attempt=attempt,
-                                client=request.client)
-                    with Session(self._service, self._options) as session:
-                        cursor = session.run(request.query, request.language,
-                                             request.parameters, cancel_token=token)
-                        rows = cursor.fetch_all()
-                        metrics = cursor.consume()
-                        return QueryOutcome(request=request, rows=rows,
-                                            metrics=metrics, attempts=attempt)
-                except WorkerFailure as exc:
-                    # infrastructure fault: transient by assumption, worth a
-                    # bounded re-run -- unless this execution was cancelled
-                    if attempt < attempts and not token.cancelled:
-                        time.sleep(self._retry_backoff * (2 ** (attempt - 1)))
-                        continue
-                    return QueryOutcome(request=request, attempts=attempt,
-                                        error="%s: %s" % (type(exc).__name__, exc))
-                except Exception as exc:  # noqa: BLE001 - per-query fault isolation
-                    return QueryOutcome(request=request, attempts=attempt,
-                                        error="%s: %s" % (type(exc).__name__, exc))
-        raise AssertionError("unreachable: retry loop always returns")
+    def _execute(self, request: QueryRequest) -> QueryOutcome:
+        with self._active.track() as token:
+            try:
+                fault_point("service.execute", client=request.client)
+                with Session(self._service, self._options) as session:
+                    cursor = session.run(request.query, request.language,
+                                         request.parameters, cancel_token=token)
+                    rows = cursor.fetch_all()
+                    return QueryOutcome(request=request, rows=rows,
+                                        metrics=cursor.consume())
+            except Exception as exc:  # noqa: BLE001 - per-query fault isolation
+                return QueryOutcome(request=request,
+                                    error="%s: %s" % (type(exc).__name__, exc))
 
     # -- lifecycle ---------------------------------------------------------------
     def cancel_all(self, reason: str = "executor shutdown") -> int:

@@ -137,10 +137,9 @@ class GraphService:
     def executor(self, max_workers: int = 8, **options) -> "ConcurrentExecutor":
         """Open a :class:`~repro.service.ConcurrentExecutor` over this service.
 
-        ``options`` are forwarded verbatim -- notably the admission-control
-        knobs (``max_queue_depth``, ``queue_timeout_seconds``,
-        ``per_client_limit``) and retry policy (``max_retries``,
-        ``retry_backoff_seconds``)::
+        ``options`` are forwarded verbatim -- ``deadline_seconds``,
+        ``engine`` and the admission-control knobs (``max_queue_depth``,
+        ``queue_timeout_seconds``, ``per_client_limit``, ``admission``)::
 
             with service.executor(max_workers=4, max_queue_depth=16) as ex:
                 outcomes = ex.run_all(requests)

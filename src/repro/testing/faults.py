@@ -38,7 +38,7 @@ Registered injection sites (see the runtime modules):
 ``stream.kernel``           a streaming interpreter dispatching one operator
                             (info: ``op``)
 ``service.execute``         the concurrent executor about to run one query
-                            (info: ``attempt``)
+                            (info: ``client``)
 ``server.request``          the HTTP front end about to serve an admitted
                             query/fetch/explain request, while holding its
                             admission slot (info: ``tenant``, ``endpoint``);
@@ -91,7 +91,7 @@ class FaultRule:
         callback: ``callback(site, info)`` for ``"call"``.
         max_fires: stop firing after this many activations (``None`` =
             unlimited); makes transient faults expressible (fail once, then
-            recover -- the retry path's bread and butter).
+            recover).
     """
 
     ACTIONS = ("raise", "sleep", "stall", "call")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench import experiments, format_table, geometric_mean, speedup
-from repro.bench.pipelines import build_optimizer, make_backend
+from repro.bench.pipelines import build_optimizer
 from repro.bench.reporting import OT, runtime_or_ot, summarise_speedups
 
 
@@ -41,12 +41,6 @@ class TestReporting:
 
 
 class TestPipelines:
-    def test_make_backend_kinds(self, ldbc_graph):
-        assert make_backend(ldbc_graph, "neo4j").name == "neo4j"
-        assert make_backend(ldbc_graph, "graphscope").name == "graphscope"
-        with pytest.raises(ValueError):
-            make_backend(ldbc_graph, "mystery")
-
     def test_build_optimizer_flavors(self, ldbc_graph, ldbc_glogue):
         for flavor in ("gopt", "gopt-neo-cost", "gopt-low-order", "neo4j", "gs",
                        "no-rbo", "no-type-inference", "no-cbo"):

@@ -12,7 +12,6 @@ import os
 import pytest
 
 from repro import GraphService
-from repro.backend import GraphScopeLikeBackend
 
 #: the three seeds the CI chaos job pins (documentation; the job sets the env)
 CHAOS_SEEDS = (11, 23, 47)
@@ -25,15 +24,7 @@ def chaos_seed():
 
 @pytest.fixture(scope="module")
 def gopt(ldbc_graph):
-    """Optimizer + partitioned backend (degradation fallback ON, the default)."""
+    """Optimizer + partitioned backend (dataflow faults degrade to the row engine)."""
     return GraphService(ldbc_graph, backend="graphscope", num_partitions=4,
                         max_intermediate_results=500_000, timeout_seconds=30.0,
                         plan_cache_size=None)
-
-
-@pytest.fixture()
-def strict_backend(ldbc_graph):
-    """A backend that surfaces WorkerFailure instead of degrading."""
-    return GraphScopeLikeBackend(ldbc_graph, num_partitions=4,
-                                 max_intermediate_results=500_000,
-                                 timeout_seconds=30.0, fallback_on_fault=False)

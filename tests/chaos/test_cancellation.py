@@ -69,19 +69,21 @@ class TestCancellationPromptness:
 
 
 class TestCursorCloseRaces:
+    @pytest.mark.parametrize("engine", ["row", "dataflow"])
     def test_close_during_inflight_fetch_unwinds_cooperatively(
-            self, ldbc_graph, chaos_seed):
+            self, ldbc_graph, chaos_seed, engine):
         """close() from another thread while a fetch is mid-pipeline.
 
         The in-flight fetch may not tear or hang: the closed cursor's
         consumer thread observes end-of-stream within the cancellation
-        grace period, having produced at most a prefix of the rows.
+        grace period, having produced at most a prefix of the rows (for
+        dataflow, whose first pull runs the executor, often none).
         """
         service = GraphService(ldbc_graph, backend="graphscope",
                                num_partitions=4, plan_cache_size=None)
         reference = service.backend.execute(
             service.optimize(THREE_HOP).physical_plan, engine="row")
-        with service.session(engine="row", batch_size=8) as session:
+        with service.session(engine=engine, batch_size=8) as session:
             cursor = session.run(THREE_HOP)
             fetched = []
 

@@ -12,6 +12,7 @@ every one of these tests to zero leaked runtime threads.
 import pytest
 
 from repro import GraphService
+from repro.backend.runtime.dataflow import DataflowExecutor
 from repro.errors import WorkerFailure
 from repro.service import ConcurrentExecutor
 from repro.testing import FaultInjector, FaultRule, InjectedFault
@@ -27,6 +28,12 @@ def two_hop(gopt):
     report = gopt.optimize(TWO_HOP)
     reference = gopt.backend.execute(report.physical_plan, engine="row")
     return report.physical_plan, reference
+
+
+def run_executor(gopt, plan):
+    """One dataflow execution without the backend's row-engine recovery."""
+    ctx = gopt.backend._make_context(gopt.backend.options.override(workers=4))
+    return DataflowExecutor(ctx).run(plan.root)
 
 
 class TestWorkerFaultContainment:
@@ -53,27 +60,28 @@ class TestWorkerFaultContainment:
         assert result.metrics.degraded == (injector.fired > 0)
 
     def test_fault_surfaces_typed_failure_without_fallback(
-            self, strict_backend, two_hop, chaos_seed):
+            self, gopt, two_hop, chaos_seed):
         plan, _ = two_hop
         rules = [FaultRule("worker.kernel", action="raise", at_hits=[1])]
         with FaultInjector(seed=chaos_seed, rules=rules):
             with pytest.raises(WorkerFailure) as excinfo:
-                strict_backend.execute(plan, engine="dataflow", workers=4)
+                run_executor(gopt, plan)
         failure = excinfo.value
         assert failure.worker_id >= 0
         assert isinstance(failure.cause, InjectedFault)
         # partial exchange traffic observed before the crash stays visible
         assert isinstance(failure.exchange_stats, dict)
 
-    def test_driver_fault_is_contained_too(self, gopt, strict_backend,
-                                           two_hop, chaos_seed):
+    def test_driver_fault_is_contained_too(self, gopt, two_hop, chaos_seed):
         plan, reference = two_hop
         rules = [FaultRule("driver.gather", action="raise", at_hits=[1])]
         with FaultInjector(seed=chaos_seed, rules=rules):
             with pytest.raises(WorkerFailure) as excinfo:
-                strict_backend.execute(plan, engine="dataflow", workers=4)
+                run_executor(gopt, plan)
         assert excinfo.value.worker_id == -1  # the driver, not a worker
-        # and with fallback on, the same fault degrades to correct rows
+        assert isinstance(excinfo.value.cause, InjectedFault)
+        assert isinstance(excinfo.value.exchange_stats, dict)
+        # through the backend, the same fault degrades to correct rows
         rules = [FaultRule("driver.gather", action="raise", at_hits=[1])]
         with FaultInjector(seed=chaos_seed, rules=rules) as injector:
             result = gopt.backend.execute(plan, engine="dataflow", workers=4)
@@ -154,37 +162,20 @@ class TestServingIsolation:
         assert "InjectedFault" in faulted.error
         assert healthy.ok and healthy.rows
 
-    def test_transient_fault_is_retried_to_success(self, ldbc_graph, two_hop,
-                                                   chaos_seed):
-        """A fail-once infrastructure fault succeeds on the bounded retry."""
+    def test_transient_fault_degrades_to_success(self, ldbc_graph, two_hop,
+                                                 chaos_seed):
+        """A fail-once worker fault in a served query: the one recovery path
+        (row-engine re-execution) answers it, with nothing retried."""
         _, reference = two_hop
         service = GraphService(ldbc_graph, backend="graphscope",
-                               num_partitions=4, fallback_on_fault=False,
-                               plan_cache_size=None)
+                               num_partitions=4, plan_cache_size=None)
         rules = [FaultRule("worker.kernel", action="raise",
                            at_hits=[1], max_fires=1)]
-        with ConcurrentExecutor(service, max_workers=2, engine="dataflow",
-                                max_retries=2,
-                                retry_backoff_seconds=0.01) as ex:
+        with ConcurrentExecutor(service, max_workers=2,
+                                engine="dataflow") as ex:
             with FaultInjector(seed=chaos_seed, rules=rules) as injector:
                 outcome = ex.submit(TWO_HOP).result()
         assert injector.fired == 1
         assert outcome.ok, outcome.error
-        assert outcome.attempts == 2
+        assert outcome.degraded
         assert outcome.rows == reference.rows
-
-    def test_exhausted_retries_surface_the_worker_failure(
-            self, ldbc_graph, chaos_seed):
-        service = GraphService(ldbc_graph, backend="graphscope",
-                               num_partitions=4, fallback_on_fault=False,
-                               plan_cache_size=None)
-        rules = [FaultRule("worker.kernel", action="raise", rate=1.0)]
-        with ConcurrentExecutor(service, max_workers=2, engine="dataflow",
-                                max_retries=2,
-                                retry_backoff_seconds=0.01) as ex:
-            with FaultInjector(seed=chaos_seed, rules=rules) as injector:
-                outcome = ex.submit(TWO_HOP).result()
-        assert injector.fired >= 3  # every attempt crashed
-        assert not outcome.ok
-        assert outcome.attempts == 3
-        assert "WorkerFailure" in outcome.error

@@ -5,16 +5,17 @@ holds ``engine="dataflow"`` to the row engine's rows and counters on every
 workload query; this module covers the properties specific to the parallel
 runtime: scheduling-independence of the results, reconciliation of the
 *observed* exchange traffic with the *simulated* communication counts, the
-broadcast join path, and the ``workers=`` override through the service
-layer.
+driver-side join, the ``workers=`` override through the service layer, and
+the cursor lifecycle (nothing starts before the first pull).
 """
+
+import threading
 
 import pytest
 
 from repro import GraphService
 from repro.backend import GraphScopeLikeBackend
 from repro.backend.runtime.dataflow import (
-    BROADCAST_THRESHOLD,
     build_pipelines,
     extract_segment,
     plan_refcounts,
@@ -125,7 +126,7 @@ class TestExchangeParity:
         assert dataflow.metrics.tuples_shuffled == 0 == row.metrics.tuples_shuffled
 
 
-class TestBroadcastJoin:
+class TestDriverJoin:
     def _join_plan(self, small_predicate=None):
         person = TypeConstraint.basic("Person")
         knows = TypeConstraint.basic("KNOWS")
@@ -140,7 +141,8 @@ class TestBroadcastJoin:
         return PhysicalPlan(HashJoin(keys=("a",), join_type="inner",
                                      inputs=(left, right)))
 
-    def test_small_build_side_is_broadcast(self, ldbc_graph):
+    def test_inner_join_matches_row_engine(self, ldbc_graph):
+        """Joins run at the driver through the row engine's handler."""
         backend = GraphScopeLikeBackend(ldbc_graph, num_partitions=4)
         plan = self._join_plan()
         row = backend.execute(plan, engine="row")
@@ -149,12 +151,6 @@ class TestBroadcastJoin:
         for counter in COUNTERS:
             assert dataflow.metrics.as_dict()[counter] == \
                 row.metrics.as_dict()[counter], counter
-        # the build side really was replicated: one copy per other partition
-        persons = len(list(ldbc_graph.vertices_of_type("Person")))
-        assert dataflow.exchange_stats["broadcast"] == persons * 3
-
-    def test_broadcast_threshold_is_sane(self):
-        assert BROADCAST_THRESHOLD >= 1024
 
 
 class TestCompiler:
@@ -218,6 +214,27 @@ class TestServiceIntegration:
             reference = row_cursor.fetch_all()
             assert row_cursor.exchange_stats is None  # serial engines: N/A
         assert [first] + rest == reference
+
+    def test_close_before_first_fetch_starts_no_thread(self, ldbc_graph,
+                                                       monkeypatch):
+        """A dataflow execution starts on the first pull, like the serial
+        engines: a cursor closed unread starts no thread and does no work."""
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        service = GraphService(ldbc_graph, backend="graphscope",
+                               num_partitions=4, workers=4)
+        with service.session(engine="dataflow") as session:
+            cursor = session.run(TWO_HOP)
+            cursor.close()
+        assert not [name for name in started if name.startswith("dataflow-")]
+        assert cursor.metrics().intermediate_results == 0
+        assert cursor.exchange_stats is None
 
     def test_invalid_workers_rejected(self, ldbc_graph):
         from repro.errors import GOptError

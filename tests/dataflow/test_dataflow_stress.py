@@ -13,6 +13,7 @@ import pytest
 
 from repro import GraphService
 from repro.datasets import social_commerce_graph
+from repro.testing import FaultInjector, FaultRule
 
 THREE_HOP = ("MATCH (a:Person)-[:Knows]->(b:Person)-[:Knows]->(c:Person)"
              "-[:Knows]->(d:Person) RETURN a.id AS a, b.id AS b, c.id AS c, "
@@ -32,18 +33,39 @@ def service():
 
 class TestEarlyClose:
     def test_immediate_close_drains_channels(self, service):
-        """Closing before pulling any row cancels the in-flight workers."""
-        deadline = time.monotonic() + 90.0
-        with service.session(engine="dataflow") as session:
-            for _ in range(15):
+        """close() from a second thread while the first fetch_one is inside
+        the executor: the fetch ends the stream promptly, the channels are
+        drained and the worker pool is joined."""
+        for _ in range(5):
+            inside, closed = threading.Event(), threading.Event()
+
+            def hold_until_closed(site, info):
+                inside.set()
+                closed.wait(10.0)
+
+            # the first kernel visit parks one worker until the close has
+            # landed, so the close always finds the execution in flight
+            rules = [FaultRule("worker.kernel", action="call", at_hits=[1],
+                               callback=hold_until_closed)]
+            with FaultInjector(seed=11, rules=rules), \
+                    service.session(engine="dataflow") as session:
                 cursor = session.run(THREE_HOP)
+                fetched = []
+                fetcher = threading.Thread(
+                    target=lambda: fetched.append(cursor.fetch_one()),
+                    name="stress-fetch")
+                fetcher.start()
+                assert inside.wait(30.0), "the first fetch never started"
+                started = time.monotonic()
                 cursor.close()
-                assert time.monotonic() < deadline, "early close deadlocked"
-        # daemon worker threads must not pile up after the closes
-        time.sleep(0.2)
-        lingering = [t for t in threading.enumerate()
-                     if t.name.startswith("dataflow-")]
-        assert len(lingering) <= 8, lingering
+                closed.set()
+                fetcher.join(timeout=30.0)
+                assert not fetcher.is_alive(), "fetch hung after close"
+            assert fetched == [None]  # end of stream, not a torn row
+            assert time.monotonic() - started < 10.0, "close was not prompt"
+            lingering = [t.name for t in threading.enumerate()
+                         if t.name.startswith("dataflow-")]
+            assert not lingering, lingering
 
     def test_close_after_first_row(self, service):
         # each fetch_one pays a full gather (the dataflow engine's output

@@ -20,6 +20,7 @@ from repro.errors import (
     ParseError,
     ServiceOverloadedError,
 )
+import repro.server.http as http_server
 from repro.server import GraphHTTPServer
 from repro.server.http import MAX_BODY_BYTES
 from repro.server.wire import ErrorWire
@@ -152,6 +153,29 @@ def test_malformed_content_length_gets_a_typed_400(ldbc_server, content_length):
     error = ErrorWire.from_dict(json.loads(body))
     assert (error.type, error.status) == ("GOptError", status)
     assert "Content-Length" in error.message
+
+
+def test_slow_request_body_gets_a_typed_408(ldbc_server, monkeypatch):
+    """A client that declares 100 body bytes, sends 10 and waits must not
+    hold a handler thread until it hangs up: a typed 408 once the body
+    timeout passes, then the server closes."""
+    monkeypatch.setattr(http_server, "BODY_TIMEOUT_SECONDS", 0.3, raising=False)
+    request = (b"POST /v1/queries HTTP/1.1\r\nHost: test\r\n"
+               b"Content-Length: 100\r\n\r\n" + b"{\"query\": ")
+    with socket.create_connection((ldbc_server.host, ldbc_server.port),
+                                  timeout=2.0) as sock:
+        sock.sendall(request)
+        raw = b""
+        while True:  # until the server closes; a hang trips the 2 s timeout
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            raw += chunk
+    head, _, body = raw.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 408 ")
+    assert b"Connection: close" in head
+    error = ErrorWire.from_dict(json.loads(body))
+    assert (error.type, error.status) == ("GOptError", 408)
 
 
 def test_unknown_cursor_maps_to_404(ldbc_client):

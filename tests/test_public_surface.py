@@ -7,6 +7,8 @@ import pytest
 
 import repro
 from repro import GraphService, ResultCursor
+from repro.backend import Neo4jLikeBackend
+from repro.service import ConcurrentExecutor
 
 QUERY = "MATCH (p:Person) RETURN p.name AS name"
 
@@ -19,8 +21,9 @@ def test_every_exported_name_resolves(module_name):
         assert getattr(module, name) is not None, name
 
 
-def test_removed_names_are_gone():
+def test_removed_names_are_gone(social_graph):
     import repro.backend
+    import repro.backend.runtime.dataflow as dataflow
 
     assert not hasattr(repro, "GOpt")
     assert not hasattr(repro, "OptimizedQuery")
@@ -28,6 +31,16 @@ def test_removed_names_are_gone():
     assert not hasattr(repro.backend.base, "StreamingResult")
     with pytest.raises(ImportError):
         importlib.import_module("repro.api")
+    for name in ("BROADCAST_THRESHOLD", "DataflowRowStream",
+                 "open_dataflow_stream", "Morsel", "morselize"):
+        assert not hasattr(dataflow, name), name
+    # one fault-recovery path: no opt-out of it, no retry loop on top
+    with pytest.raises(TypeError):
+        Neo4jLikeBackend(social_graph, fallback_on_fault=False)
+    service = GraphService(social_graph, backend="neo4j")
+    for keyword in ("max_retries", "retry_backoff_seconds"):
+        with pytest.raises(TypeError):
+            ConcurrentExecutor(service, **{keyword: 1})
 
 
 def test_one_result_handle_at_every_layer(social_graph):
