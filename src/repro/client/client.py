@@ -30,9 +30,11 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import time
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import GOptError, ServiceOverloadedError
 from repro.server.protocol import exception_from_wire
@@ -45,6 +47,24 @@ from repro.server.wire import (
     QueryResultWire,
     SessionWire,
 )
+
+
+#: a failure of a *reused* keep-alive connection before any response byte
+#: arrived: the server closed it while idle, so the request never ran
+_STALE_CONNECTION_ERRORS = (http.client.RemoteDisconnected,
+                            ConnectionResetError, BrokenPipeError)
+
+
+class _Connection(http.client.HTTPConnection):
+    """An ``HTTPConnection`` whose every socket runs with ``TCP_NODELAY``.
+
+    ``http.client`` sends a POST's head and body in two ``send()`` calls;
+    with Nagle's algorithm on, the body waits for the server's delayed ACK.
+    """
+
+    def connect(self) -> None:
+        super().connect()
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
 class GraphClient:
@@ -67,7 +87,7 @@ class GraphClient:
     def _connection(self) -> http.client.HTTPConnection:
         connection = getattr(self._local, "connection", None)
         if connection is None:
-            connection = http.client.HTTPConnection(
+            connection = _Connection(
                 self.host, self.port, timeout=self.timeout_seconds)
             self._local.connection = connection
             with self._connections_lock:
@@ -90,31 +110,42 @@ class GraphClient:
                 ) -> Tuple[int, Dict[str, str], bytes]:
         """One HTTP exchange; returns (status, headers, raw body).
 
-        A stale keep-alive connection (server restarted, idle timeout) is
-        retried once on a fresh connection; every other failure surfaces.
+        A reused keep-alive connection that the server closed while it sat
+        idle (restart, idle timeout) fails before any response byte
+        arrives; that request never ran, so it is retried once on a fresh
+        connection.  Every other failure surfaces unretried -- a timeout
+        above all, since the server may still be executing the request.
         """
         if self._closed:
             raise GOptError("client is closed")
         payload = None if body is None else json.dumps(body).encode("utf-8")
         for attempt in (1, 2):
             connection = self._connection()
+            reused = connection.sock is not None
+            response = None
             try:
                 connection.request(method, path, body=payload,
                                    headers=self._headers(headers))
                 response = connection.getresponse()
                 data = response.read()
-                return (response.status,
-                        {key.lower(): value for key, value in response.getheaders()},
-                        data)
-            except (http.client.HTTPException, ConnectionError, BrokenPipeError, OSError):
-                connection.close()
-                self._local.connection = None
-                with self._connections_lock:
-                    if connection in self._connections:
-                        self._connections.remove(connection)
-                if attempt == 2:
-                    raise
+            except BaseException as exc:
+                self._discard(connection)
+                if (attempt == 1 and reused and response is None
+                        and isinstance(exc, _STALE_CONNECTION_ERRORS)):
+                    continue
+                raise
+            return (response.status,
+                    {key.lower(): value for key, value in response.getheaders()},
+                    data)
         raise AssertionError("unreachable")
+
+    def _discard(self, connection: http.client.HTTPConnection) -> None:
+        """Close a failed connection and drop it from the pool."""
+        connection.close()
+        self._local.connection = None
+        with self._connections_lock:
+            if connection in self._connections:
+                self._connections.remove(connection)
 
     def call(self, method: str, path: str,
              body: Optional[Dict[str, Any]] = None,
@@ -327,7 +358,7 @@ class RemoteCursor:
         self.session_id = wire.session_id
         self.query = wire.query
         self._fetch_size = fetch_size
-        self._buffer: List[Dict[str, Any]] = []
+        self._buffer: Deque[Dict[str, Any]] = deque()
         self._exhausted = False
         self._closed = False
         #: populated from the final chunk once the server reports exhaustion
@@ -354,7 +385,7 @@ class RemoteCursor:
             if self._exhausted or self._closed:
                 raise StopIteration
             self._fetch_chunk()
-        return self._buffer.pop(0)
+        return self._buffer.popleft()
 
     def fetch_many(self, count: int) -> List[Dict[str, Any]]:
         rows: List[Dict[str, Any]] = []

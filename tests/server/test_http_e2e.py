@@ -6,8 +6,11 @@ queries, overload produces 429 + positive ``Retry-After``, and ``/metrics``
 exposes the serving counters.
 """
 
+import http.client
 import json
 import socket
+import socketserver
+import statistics
 import threading
 import time
 
@@ -176,6 +179,192 @@ def test_slow_request_body_gets_a_typed_408(ldbc_server, monkeypatch):
     assert b"Connection: close" in head
     error = ErrorWire.from_dict(json.loads(body))
     assert (error.type, error.status) == ("GOptError", 408)
+
+
+def test_truncated_json_body_gets_a_typed_400_and_keeps_the_connection(ldbc_server):
+    """A complete request whose body is cut-off JSON is answered with a
+    typed 400, and the same keep-alive connection serves the next request."""
+    connection = http.client.HTTPConnection(ldbc_server.host, ldbc_server.port,
+                                            timeout=2.0)
+    try:
+        connection.request("POST", "/v1/queries", body=b'{"query": "MATCH',
+                           headers={"X-Tenant": "e2e"})
+        response = connection.getresponse()
+        error = ErrorWire.from_dict(json.loads(response.read()))
+        assert response.status == 400
+        assert (error.type, error.status) == ("GOptError", 400)
+        assert "malformed JSON" in error.message
+        assert response.getheader("Connection") is None
+        sock = connection.sock
+        connection.request("GET", "/healthz")
+        response = connection.getresponse()
+        assert (response.status, json.loads(response.read())) == (
+            200, {"status": "ok"})
+        assert connection.sock is sock  # no reconnect happened
+    finally:
+        connection.close()
+
+
+def test_cursor_is_invisible_to_another_tenant(ldbc_server, ldbc_service):
+    """Tenant B's fetch and DELETE of tenant A's cursor get a typed 404 and
+    leave the cursor intact: tenant A still drains all of it."""
+    query = "MATCH (p:Person)-[:KNOWS]->(f:Person) RETURN f.firstName AS n"
+    with ldbc_service.session() as session:
+        expected = jsonable(session.run(query).fetch_all())
+    owner = GraphClient(ldbc_server.host, ldbc_server.port, tenant="tenant-a")
+    intruder = GraphClient(ldbc_server.host, ldbc_server.port, tenant="tenant-b")
+    try:
+        with owner.session() as remote_session:
+            cursor = remote_session.cursor(query, fetch_size=5)
+            rows = cursor.fetch_many(3)
+            with pytest.raises(NotFoundError):
+                intruder.call("GET", "/v1/cursors/%s/fetch?n=5" % cursor.cursor_id)
+            with pytest.raises(NotFoundError):
+                intruder.call("DELETE", "/v1/cursors/%s" % cursor.cursor_id)
+            rows += cursor.fetch_all()
+            assert sorted(map(json.dumps, rows)) == sorted(map(json.dumps, expected))
+            assert cursor.metrics is not None  # drained to the final chunk
+    finally:
+        owner.close()
+        intruder.close()
+
+
+def test_read_timeout_is_not_retried(serving_service):
+    """A request that outlives the client's timeout may still be running on
+    the server: it surfaces as one TimeoutError and is never sent twice."""
+    injector = FaultInjector(seed=17)
+    injector.add_rule("server.request", action="sleep", rate=1.0, seconds=0.6,
+                      match={"endpoint": "queries"})
+    with GraphHTTPServer(serving_service, max_queue_depth=64) as server:
+        client = GraphClient(server.host, server.port, tenant="impatient",
+                             timeout_seconds=0.2)
+        try:
+            client.healthz()  # the query goes out on a reused connection
+            with injector:
+                with pytest.raises(TimeoutError):
+                    client.run("MATCH (p:Person) RETURN p.name AS n")
+                time.sleep(0.6)  # let the stalled handler finish its sleep
+            requests = server.app.counters.snapshot()["requests"]
+            assert requests["impatient"]["queries"] == 1
+            assert server.app.admission.stats().admitted == 1
+            # the discarded connection is replaced on the next call
+            assert client.healthz() == {"status": "ok"}
+        finally:
+            client.close()
+
+
+def test_idle_connection_closed_by_the_server_is_retried_once():
+    """A keep-alive connection the server dropped while idle costs the
+    caller nothing: the request never ran, so it goes out again, once, on a
+    fresh connection."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    request_lines = []
+
+    def serve_two_connections():
+        for _ in range(2):
+            connection, _ = listener.accept()
+            with connection:  # answer one request, then drop the connection
+                request_lines.append(connection.recv(65536).split(b"\r\n")[0])
+                connection.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 16\r\n"
+                                   b"\r\n{\"status\": \"ok\"}")
+
+    server = threading.Thread(target=serve_two_connections)
+    server.start()
+    client = GraphClient(*listener.getsockname()[:2], timeout_seconds=2.0)
+    try:
+        assert client.healthz() == {"status": "ok"}
+        time.sleep(0.1)  # the server has closed the idle connection
+        assert client.healthz() == {"status": "ok"}
+    finally:
+        client.close()
+        server.join(timeout=2.0)
+        listener.close()
+    assert request_lines == [b"GET /healthz HTTP/1.1"] * 2
+
+
+# -- transport guards: a return of the Nagle x delayed-ACK stall fails these --
+def test_transport_both_ends_run_with_nodelay(ldbc_client, monkeypatch):
+    def nodelay(sock):
+        return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    server_side = []
+    original_setup = http_server._RequestHandler.setup
+
+    def recording_setup(handler):
+        original_setup(handler)
+        server_side.append(nodelay(handler.connection))
+
+    monkeypatch.setattr(http_server._RequestHandler, "setup", recording_setup)
+    ldbc_client.healthz()
+    assert nodelay(ldbc_client._local.connection.sock)
+    # http.client reopens a closed connection on the next request
+    ldbc_client._local.connection.close()
+    ldbc_client.healthz()
+    assert nodelay(ldbc_client._local.connection.sock)
+    assert len(server_side) == 2 and all(server_side)
+
+
+def test_transport_one_write_per_response(ldbc_server, ldbc_client, monkeypatch):
+    """Status line, headers and body leave the server in a single write,
+    for a served request and for a refused one alike."""
+    writes = []
+    original = socketserver._SocketWriter.write
+
+    def counting_write(self, data):
+        writes.append(bytes(data))
+        return original(self, data)
+
+    monkeypatch.setattr(socketserver._SocketWriter, "write", counting_write)
+    ldbc_client.healthz()
+    ldbc_client.run("MATCH (p:Person) RETURN p.firstName AS n")
+    with socket.create_connection((ldbc_server.host, ldbc_server.port),
+                                  timeout=2.0) as sock:
+        sock.sendall(b"POST /v1/queries HTTP/1.1\r\nHost: test\r\n"
+                     b"Content-Length: abc\r\n\r\n")
+        while sock.recv(4096):
+            pass
+    assert [data.split(b" ", 2)[1] for data in writes] == [b"200", b"200", b"400"]
+    for data in writes:
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert b"Content-Length: %d\r\n" % len(body) in head + b"\r\n"
+
+
+def test_transport_keepalive_point_lookups_do_not_stall(ldbc_client):
+    """30 sequential keep-alive point lookups: a median under 10 ms (a
+    head and body sent apart under Nagle cost ~40 ms each)."""
+    template = "MATCH (p:Person) WHERE p.id = $pid RETURN p.firstName AS name"
+    ldbc_client.run(template, parameters={"pid": 1})  # warm the plan cache
+    samples = []
+    for pid in range(30):
+        started = time.perf_counter()
+        ldbc_client.run(template, parameters={"pid": pid})
+        samples.append(time.perf_counter() - started)
+    assert statistics.median(samples) < 0.010, samples
+
+
+def test_transport_64_simultaneous_fresh_connections(ldbc_server):
+    """64 clients connecting at once all get /healthz back within 2 s."""
+    count = 64
+    barrier = threading.Barrier(count)
+    answers = []
+
+    def probe():
+        client = GraphClient(ldbc_server.host, ldbc_server.port,
+                             timeout_seconds=2.0)
+        try:
+            barrier.wait(timeout=2.0)
+            answers.append(client.healthz())
+        finally:
+            client.close()
+
+    started = time.monotonic()
+    threads = [threading.Thread(target=probe) for _ in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=5.0)
+    assert answers == [{"status": "ok"}] * count
+    assert time.monotonic() - started < 2.0
 
 
 def test_unknown_cursor_maps_to_404(ldbc_client):
