@@ -33,9 +33,9 @@ class ExecutionMetrics:
     operators_executed: int
     cells_produced: int = 0
     timed_out: bool = False
-    #: True when a dataflow worker failure was contained by re-executing the
-    #: plan on the single-threaded row engine; the counters then describe
-    #: the (serial) recovery execution, not the failed parallel attempt
+    #: True when a dataflow infrastructure fault was contained by
+    #: re-executing the plan on the row engine; the counters then describe
+    #: the recovery execution, not the failed dataflow attempt
     degraded: bool = False
     #: human-readable root cause of the degradation (None when not degraded)
     degraded_reason: Optional[str] = None
@@ -70,8 +70,6 @@ class ExecutionResult:
     #: observed exchange traffic (dataflow engine only): rows shuffled /
     #: kept local / relocated / gathered between partitions
     exchange_stats: Optional[Dict[str, int]] = None
-    #: per-worker busy time in CPU seconds (dataflow engine only)
-    worker_busy: Optional[List[float]] = None
 
     @property
     def timed_out(self) -> bool:
@@ -247,11 +245,6 @@ class ResultCursor:
         return self._ctx.exchange_stats.snapshot()
 
     @property
-    def worker_busy(self) -> Optional[List[float]]:
-        """Per-worker busy CPU seconds (dataflow engine; ``None`` otherwise)."""
-        return self._ctx.worker_busy
-
-    @property
     def peak_held_rows(self) -> int:
         """High-water mark of rows buffered by streaming pipeline breakers.
 
@@ -297,8 +290,9 @@ class Backend:
       binding tables as column batches of ``batch_size`` rows;
     * ``"dataflow"`` -- the partition-parallel runtime
       (:mod:`repro.backend.runtime.dataflow`): per-partition pipelines over
-      the graph partitioner's shards, connected by exchange operators and
-      executed by ``workers`` threads.
+      the graph partitioner's shards (one partition without a
+      partitioner), connected by exchange operators and run on the
+      caller's thread.
 
     Every execution is a stream (:meth:`execute_streaming`);
     :meth:`execute` drains one.  All engines produce identical rows in
@@ -317,7 +311,6 @@ class Backend:
         timeout_seconds: Optional[float] = 60.0,
         engine: str = "row",
         batch_size: int = 1024,
-        workers: int = 4,
     ):
         self.graph = graph
         #: the defaults every execution runs under unless overridden per
@@ -325,7 +318,7 @@ class Backend:
         self.options = ExecutionOptions(
             engine=engine, timeout_seconds=timeout_seconds,
             max_intermediate_results=max_intermediate_results,
-            batch_size=batch_size, workers=workers)
+            batch_size=batch_size)
 
     # subclasses override to provide a partitioner (distributed backends)
     def _partitioner(self) -> Optional[GraphPartitioner]:
@@ -375,7 +368,6 @@ class Backend:
         return ExecutionResult(
             rows=[] if stream.timed_out else rows, metrics=stream.metrics(),
             backend=self.name, exchange_stats=stream.exchange_stats,
-            worker_busy=stream.worker_busy,
         )
 
     def execute_streaming(
@@ -392,7 +384,7 @@ class Backend:
         value it resolved at construction; default: this backend's own),
         with ``overrides`` -- the keywords of
         :meth:`ExecutionOptions.override`: ``engine``, ``timeout_seconds``,
-        ``max_intermediate_results``, ``batch_size``, ``workers`` -- applied
+        ``max_intermediate_results``, ``batch_size`` -- applied
         for this one execution (used by the differential tests and
         benchmarks).  Nothing shared is mutated either way.  ``parameters``
         binds values for deferred ``$param`` placeholders in prepared plans.
@@ -406,12 +398,11 @@ class Backend:
         it must (see :attr:`ResultCursor.peak_held_rows`).  Work counters
         and the time/intermediate budget are enforced incrementally as rows
         are pulled.  The dataflow engine also starts on the first pull, but
-        that pull runs its worker pipelines to the final gather before the
-        first row is known; a close from another thread cancels the
-        in-flight workers and drains their channels.  An infrastructure
-        fault inside it (a worker crash -- not a query error) always
-        degrades to a serial row-engine re-execution, flagged in
-        ``metrics.degraded``.
+        that pull runs its partition pipelines to the final gather before
+        the first row is known; a close from another thread cancels it at
+        its next checkpoint.  An infrastructure fault inside it (a crash --
+        not a query error) always degrades to a row-engine re-execution,
+        flagged in ``metrics.degraded``.
         """
         options = (options or self.options).override(**overrides)
         ctx = self._make_context(options, parameters, cancel_token)

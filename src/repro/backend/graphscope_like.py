@@ -1,7 +1,7 @@
 """GraphScope-like backend: partitioned dataflow runtime.
 
 Stands in for GraphScope v0.29.0 with the Gaia engine: the graph is hash
-partitioned across a configurable number of workers, worst-case-optimal
+partitioned into a configurable number of partitions, worst-case-optimal
 ``ExpandIntersect`` is available, aggregation runs in local/global mode, and
 every cross-partition intermediate result is counted as shuffled communication
 (which the GOpt cost model prices, Section 6.3.2).

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, Optional, Set
 
 from repro.backend.runtime.binding import ERef, PRef, VRef
 from repro.errors import (
@@ -23,13 +24,11 @@ from repro.graph.property_graph import PropertyGraph
 class CancellationToken:
     """A thread-safe flag requesting cooperative cancellation of one execution.
 
-    The token travels on the :class:`ExecutionContext` (worker forks share
-    their parent's token) and is probed at every deadline checkpoint, i.e.
-    at kernel-batch granularity in every engine.  ``cancel()`` can be
-    called from any thread -- a client closing its cursor, the executor
-    shutting down -- and the next checkpoint raises
-    :class:`~repro.errors.CancelledError`, unwinding the execution and
-    releasing its worker threads.
+    The token travels on the :class:`ExecutionContext` and is probed at
+    every deadline checkpoint, i.e. at kernel-batch granularity in every
+    engine.  ``cancel()`` can be called from any thread -- a client closing
+    its cursor, the executor shutting down -- and the next checkpoint raises
+    :class:`~repro.errors.CancelledError`, unwinding the execution.
     """
 
     __slots__ = ("_event", "reason")
@@ -97,6 +96,11 @@ ENGINES = ("row", "vectorized", "dataflow")
 _UNSET = object()
 
 
+def _is_int(value) -> bool:
+    """An int, but not a bool: a JSON ``true`` is not a count of 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExecutionOptions:
     """The per-execution settings of one plan run, as one immutable value.
@@ -104,7 +108,7 @@ class ExecutionOptions:
     A backend holds its defaults as one of these, a session derives its own
     with :meth:`override` once at construction, and every
     :class:`ExecutionContext` carries the value it runs under.  The field
-    defaults are the bare context's: serial, no budgets.
+    defaults are the bare context's: no budgets.
     """
 
     #: plan interpreter, one of :data:`ENGINES`
@@ -113,19 +117,28 @@ class ExecutionOptions:
     timeout_seconds: Optional[float] = None
     #: intermediate-row budget of one execution (``None``: unlimited)
     max_intermediate_results: Optional[int] = None
-    #: rows per column batch / kernel checkpoint interval
+    #: rows per column batch / dataflow morsel / kernel checkpoint interval
     batch_size: int = 1024
-    #: dataflow engine worker-thread count
-    workers: int = 1
 
     def __post_init__(self):
-        if self.engine not in ENGINES:
+        if not isinstance(self.engine, str) or self.engine not in ENGINES:
             raise InvalidOptionError("unknown engine %r (expected one of %s)"
                                      % (self.engine, list(ENGINES)))
-        if self.batch_size < 1:
-            raise InvalidOptionError("batch_size must be >= 1")
-        if self.workers < 1:
-            raise InvalidOptionError("workers must be >= 1")
+        timeout = self.timeout_seconds
+        if timeout is not None and not (
+                (_is_int(timeout) or isinstance(timeout, float))
+                and math.isfinite(timeout) and timeout >= 0):
+            raise InvalidOptionError(
+                "timeout_seconds must be null or a finite number >= 0, got %r"
+                % (timeout,))
+        budget = self.max_intermediate_results
+        if budget is not None and not (_is_int(budget) and budget >= 0):
+            raise InvalidOptionError(
+                "max_intermediate_results must be null or an integer >= 0, "
+                "got %r" % (budget,))
+        if not (_is_int(self.batch_size) and self.batch_size >= 1):
+            raise InvalidOptionError(
+                "batch_size must be an integer >= 1, got %r" % (self.batch_size,))
 
     def override(
         self,
@@ -133,14 +146,13 @@ class ExecutionOptions:
         timeout_seconds=_UNSET,
         max_intermediate_results=_UNSET,
         batch_size: Optional[int] = None,
-        workers: Optional[int] = None,
     ) -> "ExecutionOptions":
         """These options with the given fields replaced (and re-validated).
 
         The one place that decides "not given" against an explicit ``None``:
-        ``None`` keeps ``engine`` / ``batch_size`` / ``workers`` (they have
-        no meaningful null), but *sets* the two budgets to unlimited -- only
-        omitting a budget keeps it.
+        ``None`` keeps ``engine`` / ``batch_size`` (they have no meaningful
+        null), but *sets* the two budgets to unlimited -- only omitting a
+        budget keeps it.
         """
         changes: Dict[str, object] = {}
         if engine is not None:
@@ -151,8 +163,6 @@ class ExecutionOptions:
             changes["max_intermediate_results"] = max_intermediate_results
         if batch_size is not None:
             changes["batch_size"] = batch_size
-        if workers is not None:
-            changes["workers"] = workers
         return replace(self, **changes) if changes else self
 
 
@@ -177,15 +187,6 @@ class WorkCounters:
             "cells_produced": self.cells_produced,
         }
 
-    def merge(self, other: "WorkCounters") -> None:
-        """Fold another counter set into this one (dataflow worker forks)."""
-        self.intermediate_results += other.intermediate_results
-        self.edges_traversed += other.edges_traversed
-        self.vertices_scanned += other.vertices_scanned
-        self.tuples_shuffled += other.tuples_shuffled
-        self.operators_executed += other.operators_executed
-        self.cells_produced += other.cells_produced
-
 
 class ExecutionContext:
     """Everything an operator needs while interpreting a physical plan."""
@@ -207,16 +208,12 @@ class ExecutionContext:
         self.max_intermediate_results = options.max_intermediate_results
         self.timeout_seconds = options.timeout_seconds
         self.batch_size = options.batch_size
-        # populated by the dataflow engine: observed exchange traffic and
-        # per-worker busy time (None for the serial engines)
+        # populated by the dataflow engine: observed exchange traffic
+        # (None for the serial engines)
         self.exchange_stats = None
-        self.worker_busy: Optional[List[float]] = None
-        # dataflow worker forks report intermediates to a shared budget
-        # instead of enforcing a local one (see ``fork``)
-        self._budget_hook = None
-        # dataflow workers run the shared operator kernels with simulated
-        # shuffle charging off: the exchange that physically routes their
-        # output charges the observed communication instead
+        # the dataflow engine runs the shared operator kernels with simulated
+        # shuffle charging off inside its segments: the exchange that
+        # physically routes their output charges the observed communication
         self.simulate_shuffles = True
         # high-water mark of rows buffered by streaming pipeline-breaker
         # states (top-k heaps, join build sides, aggregation groups) -- the
@@ -228,18 +225,13 @@ class ExecutionContext:
         # from the plan root by ``stream_result_rows`` (and from the subtree
         # it is entered at by ``execute_operator``).
         self.shared_op_ids = frozenset()
-        # optional cancellation probe, called wherever the deadline is
-        # checked; the dataflow engine uses it so an early cursor close
-        # interrupts driver-side operators at the same granularity as the
-        # time budget (it raises to abort the execution)
-        self.cancel_check = None
         # cooperative cancellation: probed at every deadline checkpoint, so
         # a cursor close / executor shutdown stops work within one kernel
-        # batch in every engine (worker forks share the parent's token)
+        # batch in every engine
         self.cancel_token = cancel_token or CancellationToken()
-        # set (to a human-readable reason) when a dataflow worker failure was
-        # contained by re-executing the plan on the single-threaded row
-        # engine; surfaced as ``ExecutionMetrics.degraded``
+        # set (to a human-readable reason) when a dataflow infrastructure
+        # fault was contained by re-executing the plan on the row engine;
+        # surfaced as ``ExecutionMetrics.degraded``
         self.degraded: Optional[str] = None
         # cheap checkpoint counter: ``tick`` probes the deadline/cancellation
         # once every ``batch_size`` units of otherwise-unaccounted work (e.g.
@@ -268,9 +260,7 @@ class ExecutionContext:
     def charge_intermediate(self, count: int) -> None:
         """Account produced intermediate rows and enforce the budget."""
         self.counters.intermediate_results += count
-        if self._budget_hook is not None:
-            self._budget_hook(count)
-        elif (
+        if (
             self.max_intermediate_results is not None
             and self.counters.intermediate_results > self.max_intermediate_results
         ):
@@ -279,26 +269,6 @@ class ExecutionContext:
                 metrics=self.counters.snapshot(),
             )
         self.check_deadline()
-
-    def fork(self, budget_hook=None) -> "ExecutionContext":
-        """A worker-private context sharing this execution's graph and clock.
-
-        Dataflow workers charge counters into their fork (merged back by the
-        driver) so the shared :class:`WorkCounters` are never mutated from
-        multiple threads.  ``budget_hook`` receives every intermediate-result
-        charge, letting a shared budget enforce the *global* limit; the fork
-        itself enforces only the wall-clock deadline (same start time).
-        """
-        child = ExecutionContext(
-            self.graph,
-            partitioner=self.partitioner,
-            options=self.options.override(max_intermediate_results=None, workers=1),
-            parameters=self.parameters,
-            cancel_token=self.cancel_token,
-        )
-        child._start_time = self._start_time
-        child._budget_hook = budget_hook
-        return child
 
     def note_held_rows(self, count: int) -> None:
         """Record the current buffered-row count of a streaming operator state."""
@@ -321,8 +291,6 @@ class ExecutionContext:
     def check_deadline(self) -> None:
         if self.cancel_token.cancelled:
             self.cancel_token.raise_if_cancelled()
-        if self.cancel_check is not None:
-            self.cancel_check()
         if self.timeout_seconds is not None:
             elapsed = time.perf_counter() - self._start_time
             if elapsed > self.timeout_seconds:

@@ -3,9 +3,9 @@
 Physical plans are compiled into per-partition pipelines connected by
 explicit exchange operators -- hash shuffle on the newest bound vertex,
 relocation for tree-shaped anchors and a lineage-ordered gather for the
-final merge -- executed by a pool of worker threads over
-:class:`~repro.graph.partition.GraphPartitioner` shards, with morsels (plain
-lists of lineage-tagged rows) moving over bounded channels.  Pipeline
+final merge -- over :class:`~repro.graph.partition.GraphPartitioner`
+shards.  Morsels (plain lists of lineage-tagged rows) are pushed
+depth-first through the pipelines on the caller's thread.  Pipeline
 breakers, joins included, run at the driver through the row engine.
 
 The engine produces the same rows in the same order, and charges the same
@@ -17,7 +17,6 @@ testable prediction.  An execution starts on the consumer's first pull
 serial row-engine re-execution (:func:`recover_on_row_engine`).
 """
 
-from repro.backend.runtime.dataflow.channel import Channel
 from repro.backend.runtime.dataflow.exchange import ExchangeSpec, ExchangeStats
 from repro.backend.runtime.dataflow.plan import (
     Pipeline,
@@ -34,7 +33,6 @@ from repro.backend.runtime.dataflow.runtime import (
 )
 
 __all__ = [
-    "Channel",
     "DataflowExecutor",
     "ExchangeSpec",
     "ExchangeStats",

@@ -27,17 +27,15 @@ coalesced bundle) that moved, by exchange kind.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict
 
 
 class ExchangeStats:
-    """Thread-safe counts of rows that physically moved between partitions."""
+    """Counts of rows that physically moved between partitions."""
 
-    __slots__ = ("_lock", "shuffled", "local", "relocated", "gathered")
+    __slots__ = ("shuffled", "local", "relocated", "gathered")
 
     def __init__(self):
-        self._lock = threading.Lock()
         #: rows (or intersect bundles) that crossed partitions at a priced shuffle
         self.shuffled = 0
         #: rows that stayed on their partition through a priced shuffle
@@ -48,26 +46,22 @@ class ExchangeStats:
         self.gathered = 0
 
     def record_shuffle(self, crossed: int, stayed: int) -> None:
-        with self._lock:
-            self.shuffled += crossed
-            self.local += stayed
+        self.shuffled += crossed
+        self.local += stayed
 
     def record_relocate(self, crossed: int) -> None:
-        with self._lock:
-            self.relocated += crossed
+        self.relocated += crossed
 
     def record_gather(self, rows: int) -> None:
-        with self._lock:
-            self.gathered += rows
+        self.gathered += rows
 
     def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "shuffled": self.shuffled,
-                "local": self.local,
-                "relocated": self.relocated,
-                "gathered": self.gathered,
-            }
+        return {
+            "shuffled": self.shuffled,
+            "local": self.local,
+            "relocated": self.relocated,
+            "gathered": self.gathered,
+        }
 
     def __repr__(self) -> str:
         return "ExchangeStats(%s)" % (", ".join(

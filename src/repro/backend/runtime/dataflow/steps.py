@@ -1,21 +1,24 @@
-"""Per-operator worker kernels for the partition-parallel dataflow engine.
+"""Per-operator step kernels for the partition-parallel dataflow engine.
 
-Each step transforms a chunk of (lineage, row) pairs by driving the shared
-per-row operator kernels (:mod:`repro.backend.runtime.kernels.rowwise`) --
-the same semantic bodies the serial row engine interprets -- through a
-lineage-tracking sink.  Output lineage appends one index per produced row to
-the input row's lineage, so sorting the union of all partitions' outputs by
-lineage reproduces the serial engine's row order bit-for-bit.
+Each step transforms a morsel -- a plain list of (lineage, row) pairs -- by
+driving the shared per-row operator kernels
+(:mod:`repro.backend.runtime.kernels.rowwise`), the same semantic bodies the
+serial row engine interprets, through a lineage-tracking sink.  Lineage
+tuples encode where a row came from: the global scan index of its source
+vertex followed by one expansion index per row-generating operator.  Output
+lineage appends one index per produced row to the input row's lineage, so
+sorting the union of all partitions' outputs by lineage reproduces the
+serial engine's row order bit-for-bit.
 
 Two deliberate differences from the serial drivers:
 
-* worker forks run with ``ctx.simulate_shuffles`` off, so the kernels'
+* steps run with ``ctx.simulate_shuffles`` off, so the kernels'
   ``charge_shuffle_between`` calls are inert -- communication is charged by
   the *exchange* that physically routes the produced rows (the observed
   count equals the simulated one because a row is always co-located with
   the expansion's anchor when the kernel runs);
-* steps charge intermediates and cells per processed chunk instead of per
-  row, so the shared budget is hit once per chunk.  The totals are
+* steps charge intermediates and cells per processed morsel instead of per
+  row, so the budget is checked once per morsel.  The totals are
   identical.
 
 Pipeline breakers (Sort, Aggregate, HashJoin, Limit, Dedup, Union) are
@@ -25,10 +28,9 @@ row engine over gathered rows.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.backend.runtime.context import ExecutionContext
-from repro.backend.runtime.dataflow.channel import Pair
 from repro.backend.runtime.kernels import registry, rowwise
 from repro.backend.runtime.kernels.common import Row
 from repro.optimizer.physical_plan import (
@@ -48,6 +50,12 @@ from repro.optimizer.physical_plan import (
     Union,
 )
 
+#: lineage tuple: global source index followed by per-operator output indices
+Seq = Tuple[int, ...]
+
+#: (lineage, row) pairs are what the steps consume and produce
+Pair = Tuple[Seq, Dict[str, object]]
+
 
 def charge_outputs(ctx: ExecutionContext, pairs: List[Pair]) -> None:
     """Charge one chunk of produced rows (intermediates + cells) to ``ctx``."""
@@ -64,7 +72,7 @@ class _PairSink:
 
     def __init__(self):
         self.out: List[Pair] = []
-        self.seq: Tuple[int, ...] = ()
+        self.seq: Seq = ()
         self.base: Row = {}
         self.emitted = 0
 
@@ -121,8 +129,7 @@ def _chunk_kernel(factory):
         sink = _PairSink()
         for seq, row in pairs:
             # cooperative checkpoint per consumed row: a cancel/deadline
-            # lands mid-chunk, so cancellation stops a worker within one
-            # morsel batch even through filter-heavy kernels
+            # lands mid-morsel, even through filter-heavy kernels
             ctx.tick()
             sink.seq = seq
             sink.base = row

@@ -17,10 +17,10 @@ edges traversed, property-retrieval cells, simulated shuffles, path-frontier
 intermediates, deadline checks -- exactly once per unit of work, so every
 adapter observes identical counter totals on a full drain.  Output-level
 charges (intermediate rows, produced cells) are the adapters' concern: per
-row or batch for the serial pipelines, per chunk for dataflow workers.
+row or batch for the serial pipelines, per morsel for the dataflow steps.
 
-The dataflow engine runs these same kernels in worker forks whose
-``simulate_shuffles`` flag is off: the exchange that physically routes the
+The dataflow engine runs these same kernels inside its segments with the
+context's ``simulate_shuffles`` flag off: the exchange that physically routes the
 produced rows charges the observed communication instead (see
 :mod:`repro.backend.runtime.dataflow.steps`).
 """

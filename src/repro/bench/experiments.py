@@ -494,116 +494,6 @@ def concurrent_serving_experiment(
     return rows
 
 
-# -- intra-query parallelism: the dataflow engine across worker counts -------------------------------
-
-#: traversal templates for the intra-query parallelism experiment: unlike
-#: the point-lookup-ish IC reads, these produce enough rows per partition
-#: for worker parallelism to matter (while staying inside the experiment
-#: budgets)
-PARALLEL_TRAVERSALS = (
-    ("knows-2hop",
-     "MATCH (a:Person)-[:KNOWS]->(b:Person)-[:KNOWS]->(c:Person) "
-     "RETURN a.id AS a, b.id AS b, c.id AS c"),
-    ("friend-messages",
-     "MATCH (a:Person)-[:KNOWS]->(b:Person)<-[:HAS_CREATOR]-(m) "
-     "RETURN a.id AS a, m.id AS m"),
-    ("forum-members",
-     "MATCH (f:Forum)-[:HAS_MEMBER]->(p:Person)-[:KNOWS]->(q:Person) "
-     "RETURN f.id AS f, q.id AS q"),
-)
-
-
-def intra_query_parallelism_experiment(
-    scales: Sequence[str] = ("G100", "G300"),
-    query_names: Optional[Sequence[str]] = None,
-    workload: str = "traversal",
-    workers_list: Sequence[int] = (1, 2, 4, 8),
-    num_partitions: int = 8,
-    seed: int = 42,
-    timeout_seconds: float = 30.0,
-    graph: Optional[PropertyGraph] = None,
-    glogue: Optional[Glogue] = None,
-) -> List[Dict[str, object]]:
-    """The partition-parallel dataflow engine across worker-thread counts.
-
-    ``workload`` is ``"traversal"`` (the :data:`PARALLEL_TRAVERSALS`
-    templates -- high-fanout multi-hop reads) or ``"IC"`` / ``"BI"`` for the
-    paper workloads.  Each query is optimized once per scale; the same
-    physical plan is then executed by the dataflow engine with every worker
-    count in ``workers_list`` (plus the serial row engine as the reference).
-    Reported per run:
-
-    * ``runtime`` -- wall-clock seconds (on a CPython build with the GIL,
-      worker threads interleave rather than overlap, so wall-clock gains are
-      bounded by allocator/scheduler effects);
-    * ``speedup`` -- *effective parallelism*: total worker busy time divided
-      by the busiest worker's time, both measured with per-thread CPU
-      clocks.  This is the critical-path speedup the same partitioned
-      execution realizes when workers do not share a lock -- the quantity
-      the paper's multi-worker experiments scale with;
-    * ``partition_skew`` -- max/mean partition load of the data graph
-      (:meth:`~repro.graph.partition.GraphPartitioner.skew`): the busiest
-      partition bounds the critical path, so skew caps the speedup;
-    * ``shuffled`` -- rows observed crossing partitions at the exchanges
-      (reconciles with the row engine's simulated ``tuples_shuffled``).
-
-    Pass ``graph`` (with optional ``glogue``) to run on a prebuilt dataset
-    instead of generating the named scales.
-    """
-    from repro.graph.partition import GraphPartitioner
-    from repro.lang.cypher import cypher_to_gir
-
-    def build_queries():
-        """Fresh logical plans per scale (optimization is plan-private)."""
-        if workload == "traversal":
-            wanted = set(query_names) if query_names is not None else None
-            return [(name, cypher_to_gir(text))
-                    for name, text in PARALLEL_TRAVERSALS
-                    if wanted is None or name in wanted]
-        return [(q.name, q.logical_plan()) for q in _select_queries(
-            ic_queries() if workload == "IC" else bi_queries(), query_names)]
-
-    if graph is not None:
-        datasets = [("custom", graph, glogue or Glogue.from_graph(graph))]
-    else:
-        datasets = []
-        for scale in scales:
-            generated = ldbc_snb_graph(scale, seed=seed)
-            datasets.append((scale, generated, Glogue.from_graph(generated)))
-
-    rows = []
-    for scale, data_graph, data_glogue in datasets:
-        backend = GraphService.make_backend("graphscope", data_graph, {
-            **BUDGETS, "timeout_seconds": timeout_seconds,
-            "num_partitions": num_partitions, "engine": "dataflow"})
-        optimizer = build_optimizer(data_graph, "gopt", profile=backend.profile(),
-                                    glogue=data_glogue)
-        skew = GraphPartitioner(num_partitions).skew(data_graph.vertices())
-        for query_name, logical_plan in build_queries():
-            report = optimizer.optimize(logical_plan)
-            serial = backend.execute(report.physical_plan, engine="row")
-            for workers in workers_list:
-                result = backend.execute(report.physical_plan,
-                                         engine="dataflow", workers=workers)
-                busy = result.worker_busy or []
-                busy_total, busy_max = sum(busy), max(busy, default=0.0)
-                rows.append({
-                    "query": query_name,
-                    "scale": scale,
-                    "workers": workers,
-                    "runtime": runtime_or_ot(result.metrics.elapsed_seconds,
-                                             result.timed_out),
-                    "row_engine_seconds": runtime_or_ot(
-                        serial.metrics.elapsed_seconds, serial.timed_out),
-                    "speedup": (busy_total / busy_max if busy_max > 0 else None),
-                    "partition_skew": skew,
-                    "shuffled": (result.exchange_stats or {}).get("shuffled"),
-                    "rows_match": result.rows == serial.rows,
-                    "work": result.metrics.total_work,
-                })
-    return rows
-
-
 # -- Fig. 11: s-t path case study --------------------------------------------------------------------
 
 def st_path_experiment(

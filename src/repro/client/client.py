@@ -182,7 +182,6 @@ class GraphClient:
     def session(self, engine: Optional[str] = None,
                 timeout_seconds: Optional[float] = None,
                 batch_size: Optional[int] = None,
-                workers: Optional[int] = None,
                 ttl_seconds: Optional[float] = None) -> "RemoteSession":
         """Open a server-side session (maps onto this client's tenant)."""
         body: Dict[str, Any] = {}
@@ -192,8 +191,6 @@ class GraphClient:
             body["timeout_seconds"] = timeout_seconds
         if batch_size is not None:
             body["batch_size"] = batch_size
-        if workers is not None:
-            body["workers"] = workers
         if ttl_seconds is not None:
             body["ttl_seconds"] = ttl_seconds
         wire = SessionWire.from_dict(self.call("POST", "/v1/sessions", body))

@@ -57,8 +57,8 @@ class CancelledError(ExecutionError):
     :class:`~repro.backend.runtime.context.CancellationToken` (early
     ``ResultCursor.close()``, executor shutdown, an explicit
     ``token.cancel()``) and lands at the next kernel-batch checkpoint of
-    whichever engine runs the plan, so cancelled work releases its worker
-    threads instead of racing to completion.
+    whichever engine runs the plan, so cancelled work stops instead of
+    racing to completion.
     """
 
     def __init__(self, message="execution cancelled", reason=None):
@@ -71,8 +71,8 @@ class InvalidOptionError(GOptError, ValueError):
     """An execution option is out of range or names an unknown engine.
 
     Also a ``ValueError``: backend constructors have always raised one for a
-    bad ``batch_size`` / ``workers``, sessions a ``GOptError``, and both now
-    share the single validation in ``ExecutionOptions``.
+    bad ``batch_size``, sessions a ``GOptError``, and both now share the
+    single validation in ``ExecutionOptions``.
     """
 
 
@@ -100,19 +100,18 @@ class ServiceOverloadedError(GOptError):
 
 
 class WorkerFailure(ExecutionError):
-    """An infrastructure fault inside a dataflow worker or driver.
+    """An infrastructure fault inside a dataflow partition step or driver.
 
     Distinct from *query* errors (which are ``GOptError`` subclasses raised
     by the plan itself, e.g. a missing parameter): a ``WorkerFailure`` wraps
     an unexpected non-GOpt exception raised while executing a plan fragment.
-    The dataflow executor poisons the failing worker's output channels so
-    peers unwind promptly, discards partial results, and raises this; the
-    backend then always degrades by re-executing the plan on the
-    single-threaded row engine (``ExecutionMetrics.degraded``).  Nothing
-    retries it in-process; it stays the typed class a server maps to 503.
+    The dataflow executor discards partial results and raises this; the
+    backend then always degrades by re-executing the plan on the row engine
+    (``ExecutionMetrics.degraded``).  Nothing retries it in-process; it
+    stays the typed class a server maps to 503.
 
     Attributes:
-        worker_id: index of the worker thread that failed (-1 for the driver).
+        worker_id: the partition whose step failed (-1 for the driver).
         exchange_stats: partial observed exchange traffic up to the failure.
         cause: the original exception.
     """

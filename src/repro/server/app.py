@@ -23,6 +23,7 @@ Per-tenant quotas come for free: the tenant id is the admission client, so
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -218,8 +219,9 @@ class ServerApp:
             deadline = float(raw)
         except ValueError:
             raise GOptError("X-Deadline-Seconds must be a number, got %r" % (raw,))
-        if deadline <= 0:
-            raise GOptError("X-Deadline-Seconds must be positive")
+        if not (math.isfinite(deadline) and deadline > 0):
+            raise GOptError("X-Deadline-Seconds must be a finite number > 0, "
+                            "got %r" % (raw,))
         return deadline
 
     # -- plain endpoints ---------------------------------------------------------
@@ -240,9 +242,14 @@ class ServerApp:
         self.counters.record_request(tenant, "sessions")
         session = self.service.session(**{
             name: payload[name] for name in (
-                "engine", "timeout_seconds", "batch_size", "workers")
+                "engine", "timeout_seconds", "batch_size")
             if name in payload})
         ttl = payload.get("ttl_seconds")
+        if ttl is not None and not (
+                isinstance(ttl, (int, float)) and not isinstance(ttl, bool)
+                and math.isfinite(ttl) and ttl > 0):
+            raise GOptError("ttl_seconds must be a finite number > 0, got %r"
+                            % (ttl,))
         entry = self.registry.create_session(
             tenant, session, ttl_seconds=None if ttl is None else float(ttl))
         return Response.json(SessionWire(
@@ -298,7 +305,8 @@ class ServerApp:
     def _materialize(self, tenant: str, session, query: str, language: str,
                      parameters, payload: Dict[str, object]) -> Response:
         max_rows = payload.get("max_rows")
-        if max_rows is not None and (not isinstance(max_rows, int) or max_rows < 0):
+        if max_rows is not None and (not isinstance(max_rows, int)
+                                     or isinstance(max_rows, bool) or max_rows < 0):
             raise GOptError("max_rows must be a non-negative integer")
         with self._active.track() as token:
             cursor = session.run(query, language, parameters,
@@ -312,7 +320,6 @@ class ServerApp:
             peak = cursor.peak_held_rows
             timed_out = cursor.timed_out
             exchange_stats = cursor.exchange_stats
-            worker_busy = cursor.worker_busy
             metrics = cursor.consume()
         if timed_out:
             raise ExecutionTimeout(
@@ -320,7 +327,6 @@ class ServerApp:
                 metrics=metrics)
         self.counters.record_rows(tenant, len(rows))
         self.counters.record_execution(peak_held_rows=peak,
-                                       worker_busy=worker_busy,
                                        exchange_stats=exchange_stats)
         return Response.json(QueryResultWire.from_rows(
             query, rows, metrics=metrics, peak_held_rows=peak,
@@ -363,7 +369,6 @@ class ServerApp:
                 chunk.peak_held_rows = held.cursor.peak_held_rows
                 self.counters.record_execution(
                     peak_held_rows=held.cursor.peak_held_rows,
-                    worker_busy=held.cursor.worker_busy,
                     exchange_stats=held.cursor.exchange_stats)
                 chunk.metrics = held.cursor.consume().as_dict()
         if exhausted:

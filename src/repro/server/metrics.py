@@ -18,8 +18,8 @@ class ServerCounters:
     """Thread-safe request/execution aggregates of one server.
 
     Per-tenant counters are labelled gauges in the exposition; execution
-    aggregates fold in what each finished query reported (work counters,
-    exchange traffic, worker busy time, ``peak_held_rows``).
+    aggregates fold in what each finished query reported (exchange traffic,
+    ``peak_held_rows``).
     """
 
     def __init__(self):
@@ -30,7 +30,6 @@ class ServerCounters:
         self._errors: Dict[str, int] = {}
         self._queries_executed = 0
         self._peak_held_rows_max = 0
-        self._worker_busy_seconds = 0.0
         self._exchange_rows: Dict[str, int] = {}
 
     # -- feeding ----------------------------------------------------------------
@@ -52,15 +51,12 @@ class ServerCounters:
             self._errors[error_type] = self._errors.get(error_type, 0) + 1
 
     def record_execution(self, peak_held_rows: Optional[int] = None,
-                         worker_busy: Optional[List[float]] = None,
                          exchange_stats: Optional[Dict[str, int]] = None) -> None:
         with self._lock:
             self._queries_executed += 1
             if peak_held_rows is not None:
                 self._peak_held_rows_max = max(self._peak_held_rows_max,
                                                peak_held_rows)
-            if worker_busy:
-                self._worker_busy_seconds += sum(worker_busy)
             for kind, rows in (exchange_stats or {}).items():
                 self._exchange_rows[kind] = self._exchange_rows.get(kind, 0) + rows
 
@@ -74,7 +70,6 @@ class ServerCounters:
                 "errors": dict(self._errors),
                 "queries_executed": self._queries_executed,
                 "peak_held_rows_max": self._peak_held_rows_max,
-                "worker_busy_seconds": self._worker_busy_seconds,
                 "exchange_rows": dict(self._exchange_rows),
             }
 
@@ -152,9 +147,6 @@ def render_metrics(cache_info: Dict[str, object],
           help_text="Queries executed to completion", metric_type="counter")
     _line(lines, "repro_peak_held_rows_max", counters["peak_held_rows_max"],
           help_text="Largest streaming pipeline-breaker buffer observed")
-    _line(lines, "repro_worker_busy_seconds_total", counters["worker_busy_seconds"],
-          help_text="Cumulative dataflow worker busy CPU seconds",
-          metric_type="counter")
 
     first = True
     for kind, rows in sorted(counters["exchange_rows"].items()):

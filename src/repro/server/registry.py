@@ -13,8 +13,7 @@ leaking when clients disappear mid-fetch:
   the owning server's background sweeper;
 * evicting or closing a session **closes every cursor it owns** (the
   cursor's idempotent, concurrent-safe ``close()`` cancels the underlying
-  streaming execution at its next kernel-batch checkpoint, releasing any
-  worker threads);
+  streaming execution at its next kernel-batch checkpoint);
 * :meth:`SessionRegistry.close_all` does the same for the whole registry on
   server shutdown, so a stopping server never strands executions.
 """

@@ -7,8 +7,8 @@ driver/session architecture of real graph stores:
   thread-safe shared plan cache, and hands out lightweight sessions;
 * :class:`Session` runs every query under one resolved
   :class:`~repro.backend.ExecutionOptions` value (engine, timeout,
-  intermediate-result budget, batch size, dataflow workers) and is the unit
-  of serving one logical client;
+  intermediate-result budget, batch size) and is the unit of serving one
+  logical client;
 * :class:`PreparedQuery` (from :meth:`Session.prepare`) keeps ``$param``
   placeholders symbolic so one optimized plan -- cached under the parameter
   *types*, never the values -- serves every execution of a template;

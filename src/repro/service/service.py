@@ -124,11 +124,11 @@ class GraphService:
         ``overrides`` are the keywords of
         :meth:`ExecutionOptions.override
         <repro.backend.ExecutionOptions.override>` -- ``engine``,
-        ``timeout_seconds``, ``max_intermediate_results``, ``batch_size``,
-        ``workers`` -- resolved here, once, against the backend's defaults;
-        they apply to every query the session runs without touching shared
-        backend state (sessions of one service can run the same plans on
-        different engines or at different dataflow parallelism).
+        ``timeout_seconds``, ``max_intermediate_results``, ``batch_size`` --
+        resolved here, once, against the backend's defaults; they apply to
+        every query the session runs without touching shared backend state
+        (sessions of one service can run the same plans on different
+        engines or under different budgets).
         """
         from repro.service.session import Session
 

@@ -17,8 +17,8 @@ class Session:
     A session runs every query under one
     :class:`~repro.backend.ExecutionOptions` value (:attr:`options`) --
     the backend's defaults with this session's overrides of ``engine``,
-    ``timeout_seconds``, ``max_intermediate_results``, ``batch_size`` and
-    ``workers`` (dataflow engine thread count) applied -- resolved once,
+    ``timeout_seconds``, ``max_intermediate_results`` and ``batch_size``
+    applied -- resolved once,
     when :meth:`GraphService.session` opens it, and never by mutating the
     shared backend.  Many sessions of one service can run concurrently; the
     service's plan cache, optimizer and graph are all safe to share.
@@ -42,11 +42,6 @@ class Session:
     def engine(self) -> str:
         """The execution engine this session's queries run on."""
         return self.options.engine
-
-    @property
-    def workers(self) -> int:
-        """The dataflow worker count this session's queries run with."""
-        return self.options.workers
 
     # -- lifecycle --------------------------------------------------------------
     def close(self) -> None:

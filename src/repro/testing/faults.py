@@ -5,16 +5,14 @@ boundaries by calling :func:`fault_point` -- a near-zero-cost no-op (one
 module-global read and a ``None`` check) unless a :class:`FaultInjector` is
 active.  Tests activate an injector with a seeded, deterministic plan of
 :class:`FaultRule` entries; each rule matches a site (glob pattern plus an
-optional info subset) and fires one of four actions:
+optional info subset) and fires one of three actions:
 
 * ``"raise"`` -- raise :class:`InjectedFault` (an *infrastructure* fault:
   deliberately **not** a ``GOptError``, so the dataflow executor wraps it in
   :class:`~repro.errors.WorkerFailure` and the backend may degrade to the
   row engine);
 * ``"sleep"`` -- stall the calling thread for ``seconds`` (slow operator /
-  slow network, for deadline and backpressure tests);
-* ``"stall"`` -- tell the *call site* to behave as if backpressured (a
-  channel put reports "full"); sites that support it document the protocol;
+  slow network, for deadline tests);
 * ``"call"`` -- invoke an arbitrary ``callback(site, info)`` (used to force
   cancellation races at exact points).
 
@@ -27,13 +25,11 @@ chaos suite's survival assertions need.
 Registered injection sites (see the runtime modules):
 
 ==========================  ====================================================
-``worker.kernel``           a dataflow worker about to run one kernel on one
-                            chunk (info: ``op``, ``stage``, ``partition``)
-``exchange.route``          a worker routing produced rows into an exchange
+``worker.kernel``           a dataflow step about to run one kernel on one
+                            partition's morsel (info: ``op``, ``stage``,
+                            ``partition``)
+``exchange.route``          a partition routing produced rows into an exchange
                             (info: ``stage``, ``partition``, ``priced``)
-``channel.put``             a morsel being offered to a bounded channel;
-                            ``"stall"`` makes the put report backpressure
-``channel.get``             a consumer polling a channel for a morsel
 ``driver.gather``           the driver gathering a segment's output
 ``stream.kernel``           a streaming interpreter dispatching one operator
                             (info: ``op``)
@@ -78,8 +74,8 @@ class FaultRule:
 
     Args:
         site: glob pattern matched against the injection-point name
-            (``"worker.kernel"``, ``"channel.*"``, ...).
-        action: ``"raise"``, ``"sleep"``, ``"stall"`` or ``"call"``.
+            (``"worker.kernel"``, ``"exchange.*"``, ...).
+        action: ``"raise"``, ``"sleep"`` or ``"call"``.
         rate: probability in [0, 1] that a matching visit fires, drawn from
             the injector's seeded RNG.  Mutually composable with
             ``at_hits``: when ``at_hits`` is given, ``rate`` is ignored.
@@ -94,7 +90,7 @@ class FaultRule:
             recover).
     """
 
-    ACTIONS = ("raise", "sleep", "stall", "call")
+    ACTIONS = ("raise", "sleep", "call")
 
     def __init__(
         self,
@@ -168,13 +164,11 @@ class FaultInjector:
         return len(self.log)
 
     # -- the hot path -----------------------------------------------------------
-    def visit(self, site: str, info: Dict[str, object]) -> Optional[str]:
+    def visit(self, site: str, info: Dict[str, object]) -> None:
         """Decide and perform the action for one injection-point visit.
 
-        Returns the action name when the call site must cooperate
-        (``"stall"``); raising/sleeping/calling happen here.  Decision state
-        (hit counters, the seeded RNG) is updated under a lock so ordinals
-        are counted exactly once across threads.
+        Decision state (hit counters, the seeded RNG) is updated under a
+        lock so ordinals are counted exactly once across threads.
         """
         fired_rule = None
         with self._lock:
@@ -194,16 +188,13 @@ class FaultInjector:
                     self.log.append((site, rule.action, dict(info)))
                     break
         if fired_rule is None:
-            return None
+            return
         if fired_rule.action == "raise":
             raise InjectedFault(site, detail=repr(sorted(info.items())))
         if fired_rule.action == "sleep":
             time.sleep(fired_rule.seconds)
-            return None
-        if fired_rule.action == "call":
+        else:
             fired_rule.callback(site, info)
-            return None
-        return fired_rule.action  # "stall": the call site cooperates
 
     # -- activation -------------------------------------------------------------
     def __enter__(self) -> "FaultInjector":
@@ -234,13 +225,8 @@ def deactivate(injector: FaultInjector) -> None:
             _ACTIVE = None
 
 
-def fault_point(site: str, **info) -> Optional[str]:
-    """Declare an injection point; free when no injector is active.
-
-    Call sites that understand the ``"stall"`` protocol inspect the return
-    value; everything else ignores it (raising and sleeping happen inside).
-    """
+def fault_point(site: str, **info) -> None:
+    """Declare an injection point; free when no injector is active."""
     injector = _ACTIVE
-    if injector is None:
-        return None
-    return injector.visit(site, info)
+    if injector is not None:
+        injector.visit(site, info)

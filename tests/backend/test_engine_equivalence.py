@@ -75,8 +75,8 @@ def assert_engines_agree(backend, physical_plan, label=""):
     real exchanges rather than simulated -- unless the plan has an
     early-exit Limit: it gathers before the driver-side Limit, so it may
     then do *more* work than the serial pipelines, never less (on budget
-    overruns only the ``timed_out`` flag is compared: parallel workers
-    charge in a different order, so the counters at the point of
+    overruns only the ``timed_out`` flag is compared: the dataflow engine
+    charges partition by partition, so the counters at the point of
     interruption differ).
     """
     row_result = backend.execute(physical_plan, engine="row")

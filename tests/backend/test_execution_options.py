@@ -8,13 +8,13 @@ from repro.errors import GOptError
 
 DEFAULTS = ExecutionOptions(engine="row", timeout_seconds=60.0,
                             max_intermediate_results=2_000_000,
-                            batch_size=1024, workers=4)
+                            batch_size=1024)
 
 OVERRIDE_TABLE = [
     # (override kwargs, fields that change)
     ({}, {}),
-    # None keeps the three fields that have no meaningful null ...
-    ({"engine": None, "batch_size": None, "workers": None}, {}),
+    # None keeps the two fields that have no meaningful null ...
+    ({"engine": None, "batch_size": None}, {}),
     # ... but *sets* the two budgets to unlimited
     ({"timeout_seconds": None}, {"timeout_seconds": None}),
     ({"max_intermediate_results": None}, {"max_intermediate_results": None}),
@@ -23,8 +23,10 @@ OVERRIDE_TABLE = [
     ({"timeout_seconds": 0.5}, {"timeout_seconds": 0.5}),
     ({"max_intermediate_results": 10}, {"max_intermediate_results": 10}),
     ({"engine": "vectorized"}, {"engine": "vectorized"}),
-    ({"engine": "dataflow", "workers": 2, "batch_size": 64},
-     {"engine": "dataflow", "workers": 2, "batch_size": 64}),
+    ({"engine": "dataflow", "batch_size": 64},
+     {"engine": "dataflow", "batch_size": 64}),
+    ({"timeout_seconds": 0.0}, {"timeout_seconds": 0.0}),
+    ({"max_intermediate_results": 0}, {"max_intermediate_results": 0}),
 ]
 
 
@@ -34,7 +36,7 @@ def test_override_table(overrides, changed):
     resolved = DEFAULTS.override(**overrides)
     expected = {"engine": "row", "timeout_seconds": 60.0,
                 "max_intermediate_results": 2_000_000, "batch_size": 1024,
-                "workers": 4, **changed}
+                **changed}
     assert {name: getattr(resolved, name) for name in expected} == expected
     assert DEFAULTS.timeout_seconds == 60.0   # frozen: the source is untouched
     if not changed:
@@ -43,9 +45,21 @@ def test_override_table(overrides, changed):
 
 @pytest.mark.parametrize("bad,match", [
     ({"batch_size": 0}, "batch_size"),
-    ({"workers": 0}, "workers"),
+    ({"batch_size": "x"}, "batch_size"),
+    ({"batch_size": True}, "batch_size"),
+    ({"batch_size": 2.0}, "batch_size"),
+    ({"timeout_seconds": "x"}, "timeout_seconds"),
+    ({"timeout_seconds": -1.0}, "timeout_seconds"),
+    ({"timeout_seconds": float("nan")}, "timeout_seconds"),
+    ({"timeout_seconds": float("inf")}, "timeout_seconds"),
+    ({"timeout_seconds": True}, "timeout_seconds"),
+    ({"max_intermediate_results": "5"}, "max_intermediate_results"),
+    ({"max_intermediate_results": True}, "max_intermediate_results"),
+    ({"max_intermediate_results": -1}, "max_intermediate_results"),
+    ({"max_intermediate_results": 5.0}, "max_intermediate_results"),
     ({"engine": "turbo"}, "row.*vectorized.*dataflow"),
-])
+    ({"engine": 1}, "row.*vectorized.*dataflow"),
+], ids=repr)
 def test_invalid_values_are_rejected_wherever_they_enter(social_graph, bad, match):
     """One validation, reached from the constructor, ``override``, a backend
     constructor and ``service.session`` alike; the error is both of the types
@@ -68,12 +82,12 @@ def test_unknown_override_name_is_a_type_error(social_graph):
 
 
 def test_session_resolves_once_against_the_backend_defaults(social_graph):
-    service = GraphService(social_graph, backend="neo4j", workers=3,
+    service = GraphService(social_graph, backend="neo4j", batch_size=3,
                            timeout_seconds=7.0)
     assert service.session().options is service.backend.options
     session = service.session(engine="dataflow", max_intermediate_results=None)
     assert session.options == ExecutionOptions(
         engine="dataflow", timeout_seconds=7.0, max_intermediate_results=None,
-        batch_size=1024, workers=3)
-    assert (session.engine, session.workers) == ("dataflow", 3)
+        batch_size=3)
+    assert session.engine == "dataflow"
     assert service.backend.options.engine == "row"   # shared defaults untouched

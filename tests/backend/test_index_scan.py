@@ -109,8 +109,7 @@ def _without_lookup(op):
 
 
 def _run(backend, root, parameters, engine):
-    overrides = {"workers": 2} if engine == "dataflow" else {}
-    result = backend.execute(PhysicalPlan(root), parameters, engine=engine, **overrides)
+    result = backend.execute(PhysicalPlan(root), parameters, engine=engine)
     assert not result.timed_out
     metrics = result.metrics.as_dict()
     return result.rows, {counter: metrics[counter] for counter in COUNTERS}

@@ -98,27 +98,6 @@ class TestExperiments:
         for row in rows:
             assert "neo4j_plan" in row and "gopt_plan" in row
 
-    def test_intra_query_parallelism_experiment(self, ldbc_graph, ldbc_glogue):
-        rows = experiments.intra_query_parallelism_experiment(
-            graph=ldbc_graph, glogue=ldbc_glogue,
-            query_names=("knows-2hop", "friend-messages"),
-            workers_list=(1, 2), num_partitions=4)
-        assert {row["query"] for row in rows} == {"knows-2hop", "friend-messages"}
-        assert {row["workers"] for row in rows} == {1, 2}
-        for row in rows:
-            assert row["rows_match"]
-            assert row["shuffled"] is not None and row["shuffled"] >= 0
-            assert row["partition_skew"] > 0
-            # per-thread CPU accounting is always present, even at 1 worker
-            assert row["speedup"] is None or row["speedup"] >= 1.0
-
-    def test_intra_query_parallelism_ic_workload(self, ldbc_graph, ldbc_glogue):
-        rows = experiments.intra_query_parallelism_experiment(
-            graph=ldbc_graph, glogue=ldbc_glogue, workload="IC",
-            query_names=("IC1",), workers_list=(2,), num_partitions=2)
-        assert [row["query"] for row in rows] == ["IC1"]
-        assert rows[0]["rows_match"]
-
     def test_st_path_experiment_small(self, finance):
         graph, id_sets = finance
         rows = experiments.st_path_experiment(graph, id_sets, hops=3, query_names=["ST1"])

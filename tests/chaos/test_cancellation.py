@@ -1,8 +1,7 @@
 """Cooperative cancellation: promptness, races, clean unwinding.
 
 Acceptance: a cancel request stops a running dataflow execution within
-about one kernel batch per worker (asserted through the work counters, not
-wall clock), and a cursor closed from another thread mid-fetch unwinds the
+one kernel batch (asserted through the work counters, not wall clock), and a cursor closed from another thread mid-fetch unwinds the
 in-flight pull instead of racing it.  The autouse thread-leak fixture holds
 every test here to zero leaked runtime threads.
 """
@@ -29,30 +28,28 @@ class TestCancellationPromptness:
                                                            chaos_seed):
         """Cancel at the first kernel visit; work done stays batch-bounded.
 
-        Every in-flight worker may finish at most the chunk it already
-        claimed (one morsel, <= batch_size rows) plus one checkpoint
-        interval, so the charged intermediates after a cancel must be a
-        small multiple of ``workers * batch_size`` -- far below the full
-        run's total.
+        The step in flight may finish at most the morsel it is running
+        (<= batch_size rows) before the charge that ends it probes the
+        token, so the charged intermediates after a cancel are at most one
+        ``batch_size`` -- far below the full run's total.
         """
-        batch, workers = 64, 4
+        batch = 64
         report = gopt.optimize(THREE_HOP)
         reference = gopt.backend.execute(report.physical_plan,
-                                         engine="dataflow", workers=workers,
-                                         batch_size=batch)
+                                         engine="dataflow", batch_size=batch)
         total = reference.metrics.intermediate_results
         token = CancellationToken()
         rules = [FaultRule("worker.kernel", action="call", at_hits=[1],
                            callback=lambda site, info: token.cancel("chaos"))]
         ctx = gopt.backend._make_context(
-            gopt.backend.options.override(batch_size=batch, workers=workers),
+            gopt.backend.options.override(batch_size=batch),
             cancel_token=token)
         with FaultInjector(seed=chaos_seed, rules=rules) as injector:
             with pytest.raises(CancelledError):
                 DataflowExecutor(ctx).run(report.physical_plan.root)
         assert injector.fired == 1
         done = ctx.counters.intermediate_results
-        bound = (workers + 1) * batch
+        bound = batch
         assert done <= bound, (done, bound)
         assert total > 2 * bound, "reference run too small to be meaningful"
 
@@ -61,7 +58,7 @@ class TestCancellationPromptness:
         token = CancellationToken()
         token.cancel("pre-cancelled")
         ctx = gopt.backend._make_context(
-            gopt.backend.options.override(workers=4), cancel_token=token)
+            gopt.backend.options, cancel_token=token)
         with pytest.raises(CancelledError) as excinfo:
             DataflowExecutor(ctx).run(report.physical_plan.root)
         assert excinfo.value.reason == "pre-cancelled"
@@ -143,7 +140,7 @@ class TestExecutorShutdown:
         executor = ConcurrentExecutor(service, max_workers=2,
                                       engine="dataflow")
         # every kernel visit sleeps: uncancelled, the queries would run for
-        # minutes; cancelled, each worker stops at its next checkpoint
+        # minutes; cancelled, each query stops at its next checkpoint
         rules = [FaultRule("worker.kernel", action="sleep",
                            seconds=0.02, rate=1.0)]
         with FaultInjector(seed=chaos_seed, rules=rules):

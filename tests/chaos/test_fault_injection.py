@@ -1,8 +1,8 @@
 """Fault containment under deterministic injection.
 
 Acceptance: every injected infrastructure fault must yield either a typed
-error (:class:`~repro.errors.WorkerFailure` with the failing worker's id and
-partial exchange stats) or a *correct degraded result* (row-engine
+error (:class:`~repro.errors.WorkerFailure` with the failing partition's id
+and partial exchange stats) or a *correct degraded result* (row-engine
 re-execution producing the exact unfaulted rows, flagged in
 ``metrics.degraded``) -- never a hang, a partial result set, or an untyped
 crash.  The thread-leak fixture in tests/conftest.py additionally holds
@@ -32,7 +32,7 @@ def two_hop(gopt):
 
 def run_executor(gopt, plan):
     """One dataflow execution without the backend's row-engine recovery."""
-    ctx = gopt.backend._make_context(gopt.backend.options.override(workers=4))
+    ctx = gopt.backend._make_context(gopt.backend.options)
     return DataflowExecutor(ctx).run(plan.root)
 
 
@@ -42,7 +42,7 @@ class TestWorkerFaultContainment:
         plan, reference = two_hop
         rules = [FaultRule("worker.kernel", action="raise", at_hits=[1])]
         with FaultInjector(seed=chaos_seed, rules=rules) as injector:
-            result = gopt.backend.execute(plan, engine="dataflow", workers=4)
+            result = gopt.backend.execute(plan, engine="dataflow")
         assert injector.fired == 1
         assert result.rows == reference.rows
         assert result.metrics.degraded
@@ -55,7 +55,7 @@ class TestWorkerFaultContainment:
         plan, reference = two_hop
         rules = [FaultRule("worker.kernel", action="raise", rate=0.02)]
         with FaultInjector(seed=chaos_seed, rules=rules) as injector:
-            result = gopt.backend.execute(plan, engine="dataflow", workers=4)
+            result = gopt.backend.execute(plan, engine="dataflow")
         assert result.rows == reference.rows
         assert result.metrics.degraded == (injector.fired > 0)
 
@@ -67,7 +67,7 @@ class TestWorkerFaultContainment:
             with pytest.raises(WorkerFailure) as excinfo:
                 run_executor(gopt, plan)
         failure = excinfo.value
-        assert failure.worker_id >= 0
+        assert failure.worker_id >= 0   # the partition whose step failed
         assert isinstance(failure.cause, InjectedFault)
         # partial exchange traffic observed before the crash stays visible
         assert isinstance(failure.exchange_stats, dict)
@@ -78,13 +78,13 @@ class TestWorkerFaultContainment:
         with FaultInjector(seed=chaos_seed, rules=rules):
             with pytest.raises(WorkerFailure) as excinfo:
                 run_executor(gopt, plan)
-        assert excinfo.value.worker_id == -1  # the driver, not a worker
+        assert excinfo.value.worker_id == -1  # the driver, not a partition
         assert isinstance(excinfo.value.cause, InjectedFault)
         assert isinstance(excinfo.value.exchange_stats, dict)
         # through the backend, the same fault degrades to correct rows
         rules = [FaultRule("driver.gather", action="raise", at_hits=[1])]
         with FaultInjector(seed=chaos_seed, rules=rules) as injector:
-            result = gopt.backend.execute(plan, engine="dataflow", workers=4)
+            result = gopt.backend.execute(plan, engine="dataflow")
         assert injector.fired == 1
         assert result.rows == reference.rows
         assert result.metrics.degraded
@@ -99,39 +99,22 @@ class TestEveryExchangeBoundary:
         run bit-for-bit, whichever boundary the fault lands on.
         """
         plan, _ = two_hop
-        unfaulted = gopt.backend.execute(plan, engine="dataflow", workers=4)
+        unfaulted = gopt.backend.execute(plan, engine="dataflow")
         assert not unfaulted.metrics.degraded
         stages = []
         probe = FaultRule("exchange.route", action="call", rate=1.0,
                           callback=lambda site, info: stages.append(info["stage"]))
         with FaultInjector(seed=chaos_seed, rules=[probe]):
-            gopt.backend.execute(plan, engine="dataflow", workers=4)
+            gopt.backend.execute(plan, engine="dataflow")
         assert stages, "plan crossed no exchange boundary; test is vacuous"
         for stage in sorted(set(stages)):
             rules = [FaultRule("exchange.route", action="raise", at_hits=[1],
                                match={"stage": stage})]
             with FaultInjector(seed=chaos_seed, rules=rules) as injector:
-                result = gopt.backend.execute(plan, engine="dataflow", workers=4)
+                result = gopt.backend.execute(plan, engine="dataflow")
             assert injector.fired == 1, stage
             assert result.rows == unfaulted.rows, stage
             assert result.metrics.degraded, stage
-
-
-class TestChannelStalls:
-    def test_backpressure_stalls_do_not_deadlock(self, gopt, two_hop,
-                                                 chaos_seed):
-        """Stalled channel puts/gets only delay the run; rows stay exact."""
-        plan, reference = two_hop
-        rules = [
-            FaultRule("channel.put", action="stall", at_hits=[1, 2]),
-            FaultRule("channel.put", action="stall", rate=0.2),
-            FaultRule("channel.get", action="stall", rate=0.2),
-        ]
-        with FaultInjector(seed=chaos_seed, rules=rules) as injector:
-            result = gopt.backend.execute(plan, engine="dataflow", workers=4)
-        assert injector.fired >= 2  # the at_hits rule guarantees activity
-        assert result.rows == reference.rows
-        assert not result.metrics.degraded  # stalls are not faults
 
 
 class TestSlowOperators:
@@ -141,7 +124,7 @@ class TestSlowOperators:
         rules = [FaultRule("worker.kernel", action="sleep",
                            seconds=0.05, rate=1.0)]
         with FaultInjector(seed=chaos_seed, rules=rules):
-            result = gopt.backend.execute(plan, engine="dataflow", workers=4,
+            result = gopt.backend.execute(plan, engine="dataflow",
                                           timeout_seconds=0.1)
         assert result.timed_out
         assert not result.metrics.degraded  # timeouts are query errors

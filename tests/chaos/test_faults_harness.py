@@ -25,9 +25,15 @@ class TestFaultRules:
 
     def test_rate_decisions_are_seed_deterministic(self):
         def decisions(seed):
-            rule = FaultRule("site.*", action="stall", rate=0.5)
+            fired = []
+            rule = FaultRule("site.*", action="call", rate=0.5,
+                             callback=lambda site, info: fired.append(len(seen)))
+            seen = []
             with FaultInjector(seed=seed, rules=[rule]):
-                return [fault_point("site.b") for _ in range(64)]
+                for visit in range(64):
+                    seen.append(visit)
+                    fault_point("site.b")
+            return fired
 
         assert decisions(23) == decisions(23)
         assert decisions(23) != decisions(24)  # astronomically unlikely equal

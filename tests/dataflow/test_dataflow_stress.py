@@ -1,9 +1,8 @@
 """Stress tests for the dataflow runtime's cancellation and concurrency.
 
 Marked ``slow``: these run many executions with deliberately tiny morsels so
-the bounded channels actually fill up (backpressure) and cancellation lands
-mid-flight.  A hang here is the failure mode being tested for -- every close
-must drain the worker channels and join the pool without deadlock.
+cancellation lands mid-flight.  A hang here is the failure mode being
+tested for -- every close must end the in-flight pull promptly.
 """
 
 import threading
@@ -26,16 +25,15 @@ pytestmark = [pytest.mark.slow, pytest.mark.dataflow]
 def service():
     graph = social_commerce_graph(num_persons=300, num_products=60,
                                   num_places=10, seed=11)
-    # tiny morsels: many channel messages per query, real backpressure
+    # tiny morsels: many exchange hops and checkpoints per query
     return GraphService(graph, backend="graphscope", num_partitions=4,
-                        batch_size=16, workers=4)
+                        batch_size=16)
 
 
 class TestEarlyClose:
-    def test_immediate_close_drains_channels(self, service):
+    def test_immediate_close_ends_the_inflight_fetch(self, service):
         """close() from a second thread while the first fetch_one is inside
-        the executor: the fetch ends the stream promptly, the channels are
-        drained and the worker pool is joined."""
+        the executor: the fetch ends the stream promptly."""
         for _ in range(5):
             inside, closed = threading.Event(), threading.Event()
 
@@ -43,8 +41,8 @@ class TestEarlyClose:
                 inside.set()
                 closed.wait(10.0)
 
-            # the first kernel visit parks one worker until the close has
-            # landed, so the close always finds the execution in flight
+            # the first kernel visit parks the fetching thread until the
+            # close has landed, so the close always finds it in flight
             rules = [FaultRule("worker.kernel", action="call", at_hits=[1],
                                callback=hold_until_closed)]
             with FaultInjector(seed=11, rules=rules), \
@@ -63,9 +61,6 @@ class TestEarlyClose:
                 assert not fetcher.is_alive(), "fetch hung after close"
             assert fetched == [None]  # end of stream, not a torn row
             assert time.monotonic() - started < 10.0, "close was not prompt"
-            lingering = [t.name for t in threading.enumerate()
-                         if t.name.startswith("dataflow-")]
-            assert not lingering, lingering
 
     def test_close_after_first_row(self, service):
         # each fetch_one pays a full gather (the dataflow engine's output

@@ -448,7 +448,6 @@ def test_metrics_exposition_contract(serving_service):
             "repro_sessions_open",
             "repro_cursors_open",
             "repro_peak_held_rows_max",
-            "repro_worker_busy_seconds_total",
             "repro_queries_executed_total",
             'repro_requests_total{endpoint="queries",tenant="scraper"}',
             'repro_rows_returned_total{tenant="scraper"}',

@@ -1,10 +1,8 @@
 """A request runs under its registry session's options, with the body's
-``engine`` and the deadline header applied on top -- nothing else is lost.
+``engine`` and the deadline header applied on top -- nothing else is lost;
+and an option the server cannot honour is refused with a typed 400.
 
-Driven through ``ServerApp.handle_request`` (no sockets).  Both tests fail
-on the code before ``ExecutionOptions``: the per-request session was built
-from ``engine`` + deadline only, and a registry session was reused as-is
-whenever no deadline was sent.
+Driven through ``ServerApp.handle_request`` (no sockets).
 """
 
 import json
@@ -12,6 +10,7 @@ import json
 import pytest
 
 from repro.server.app import ServerApp
+from repro.service import Session
 
 QUERY = "MATCH (p:Person)-[:Knows]->(f:Person) RETURN f.name AS name"
 
@@ -35,19 +34,21 @@ def open_session(app, **options):
     return body["session_id"]
 
 
-def test_deadline_header_keeps_the_sessions_workers(app, monkeypatch):
-    executions = []
-    record = app.counters.record_execution
+def test_deadline_header_keeps_the_sessions_engine_and_batch_size(
+        app, monkeypatch):
+    executed = []
+    run = Session.run
     monkeypatch.setattr(
-        app.counters, "record_execution",
-        lambda **observed: (executions.append(observed), record(**observed)))
-    session_id = open_session(app, engine="dataflow", workers=2)
+        Session, "run",
+        lambda session, *args, **kwargs: (executed.append(session.options),
+                                          run(session, *args, **kwargs))[1])
+    session_id = open_session(app, engine="dataflow", batch_size=7)
     status, body = post(app, "/v1/queries",
                         {"session_id": session_id, "query": QUERY},
                         headers={"X-Deadline-Seconds": "30"})
     assert status == 200 and body["row_count"] > 0
-    assert len(executions) == 1
-    assert len(executions[0]["worker_busy"]) == 2   # not the backend's 4
+    assert [(options.engine, options.batch_size, options.timeout_seconds)
+            for options in executed] == [("dataflow", 7, 30.0)]
     assert app.counters.snapshot()["exchange_rows"]["gathered"] > 0
 
 
@@ -60,3 +61,27 @@ def test_body_engine_overrides_a_registry_sessions_engine(app):
                                           "engine": "dataflow"})
     assert status == 200
     assert app.counters.snapshot()["exchange_rows"]["gathered"] > 0
+
+
+@pytest.mark.parametrize("path,payload,headers", [
+    # a NaN deadline compared false against "<= 0" and ran with no deadline
+    ("/v1/queries", {"query": QUERY}, {"X-Deadline-Seconds": "nan"}),
+    ("/v1/queries", {"query": QUERY}, {"X-Deadline-Seconds": "inf"}),
+    # float("abc") escaped as a 500 ValueError
+    ("/v1/sessions", {"ttl_seconds": "abc"}, {}),
+    ("/v1/sessions", {"ttl_seconds": True}, {}),
+    # True is an int: it truncated the result at one row
+    ("/v1/queries", {"query": QUERY, "max_rows": True}, {}),
+    # a 500 TypeError, a bool taken as 1, and a session that failed every
+    # later query with a 500
+    ("/v1/sessions", {"batch_size": "x"}, {}),
+    ("/v1/sessions", {"batch_size": True}, {}),
+    ("/v1/sessions", {"timeout_seconds": "x"}, {}),
+], ids=["deadline-nan", "deadline-inf", "ttl-text", "ttl-bool",
+        "max_rows-bool", "batch_size-text", "batch_size-bool",
+        "timeout-text"])
+def test_values_the_server_cannot_honour_get_a_typed_400(app, path, payload,
+                                                         headers):
+    status, body = post(app, path, payload, headers)
+    assert status == 400, body
+    assert body["error"]["type"] in ("GOptError", "InvalidOptionError")

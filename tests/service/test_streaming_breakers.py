@@ -105,7 +105,7 @@ class TestBreakerCursorParity:
         """Cross-check the serial streaming cursors against dataflow ones."""
         query = BREAKER_QUERIES[1]
         _, reference = _reference(service, query)
-        with service.session(engine="dataflow", workers=2) as session:
+        with service.session(engine="dataflow") as session:
             assert session.run(query).fetch_all() == reference.rows
         with service.session(engine=engine) as session:
             assert session.run(query).fetch_all() == reference.rows

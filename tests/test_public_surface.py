@@ -2,13 +2,16 @@
 names this repo no longer has."""
 
 import importlib
+import inspect
 
 import pytest
 
 import repro
 from repro import GraphService, ResultCursor
-from repro.backend import Neo4jLikeBackend
-from repro.service import ConcurrentExecutor
+from repro.backend import ExecutionOptions, ExecutionResult, Neo4jLikeBackend
+from repro.backend.runtime.context import ExecutionContext, WorkCounters
+from repro.client import GraphClient
+from repro.service import ConcurrentExecutor, Session
 
 QUERY = "MATCH (p:Person) RETURN p.name AS name"
 
@@ -41,6 +44,30 @@ def test_removed_names_are_gone(social_graph):
     for keyword in ("max_retries", "retry_backoff_seconds"):
         with pytest.raises(TypeError):
             ConcurrentExecutor(service, **{keyword: 1})
+
+
+def test_the_dataflow_engine_has_no_threads_to_configure(social_graph):
+    """No ``workers`` knob at any layer, no per-worker busy time, no context
+    forks, no channels: the dataflow engine runs on the caller's thread."""
+    import repro.backend.runtime.dataflow as dataflow
+
+    with pytest.raises(TypeError):
+        Neo4jLikeBackend(social_graph, workers=2)
+    with pytest.raises(TypeError):
+        ExecutionOptions(workers=2)
+    with pytest.raises(TypeError):
+        ExecutionOptions().override(workers=2)
+    with pytest.raises(TypeError):
+        GraphService(social_graph, backend="neo4j").session(workers=2)
+    assert "workers" not in inspect.signature(GraphClient.session).parameters
+    assert not hasattr(Session, "workers")
+    for owner in (ResultCursor, ExecutionResult):
+        assert not hasattr(owner, "worker_busy"), owner
+    assert not hasattr(ExecutionContext, "fork")
+    assert not hasattr(WorkCounters, "merge")
+    assert not hasattr(dataflow, "Channel")
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.backend.runtime.dataflow.channel")
 
 
 def test_one_result_handle_at_every_layer(social_graph):
