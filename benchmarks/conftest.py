@@ -5,12 +5,14 @@ LDBC-like datasets.  Graph generation and GLogue statistics collection are
 session fixtures so that each figure's benchmark measures plan quality, not
 setup cost.  Every benchmark prints its result table, so the captured output
 (``pytest benchmarks/ --benchmark-only | tee bench_output.txt``) contains the
-reproduced figures.
+reproduced figures.  The ``tiny_*`` fixtures run each experiment at reduced
+scale in a few seconds (the ``*_reduced`` tests).
 """
 
 import pytest
 
 from repro.datasets import finance_graph, ldbc_snb_graph
+from repro.datasets.ldbc import LdbcGraphGenerator
 from repro.optimizer.glogue import Glogue
 
 
@@ -34,3 +36,16 @@ def finance():
     return finance_graph()
 
 
+@pytest.fixture(scope="session")
+def tiny_ldbc():
+    """A 60-person LDBC-like graph for the reduced-scale experiment tests."""
+    graph = LdbcGraphGenerator(num_persons=60, seed=5, posts_per_person=2.0,
+                               comments_per_post=1.0, num_tags=20,
+                               num_organisations=10).generate()
+    return graph, Glogue.from_graph(graph)
+
+
+@pytest.fixture(scope="session")
+def tiny_finance():
+    """A 300-person transfer graph plus id sets for the reduced s-t path test."""
+    return finance_graph(num_persons=300, mean_transfers=3.0, seed=2)

@@ -3,8 +3,9 @@ the row pipeline.
 
 Both serial engines are generator pipelines over the shared operator-kernel
 layer (``backend/runtime/kernels``).  This smoke run re-executes the
-row/vectorized engine comparison through the bench layer and asserts that
-the vectorized engine is not slower in aggregate.
+row/vectorized engine comparison (``bench_utils.engine_comparison_experiment``)
+on a query subset and asserts that the vectorized engine is not slower in
+aggregate.
 
 Measured on this suite (G30, IC+BI subset, ``Backend.execute`` = drained
 stream, 2 vCPU, 8 runs): vectorized/row runtime ratio 0.78-0.80; the larger
@@ -16,9 +17,7 @@ earlier in the process.  The asserted bound leaves headroom for loaded CI
 runners, not for a structural regression.
 """
 
-from repro.bench import experiments, format_table
-
-from bench_utils import gc_paused, run_once
+from bench_utils import engine_comparison_experiment, format_table, gc_paused, run_once
 
 SMOKE_QUERIES = ("IC1", "IC2", "IC5", "IC9", "BI2", "BI9")
 
@@ -30,7 +29,7 @@ RATIO_BOUND = 1.25
 def test_bench_kernel_layer_keeps_engine_ratio(benchmark, g30):
     graph, glogue = g30
     with gc_paused():
-        rows = run_once(benchmark, experiments.engine_comparison_experiment,
+        rows = run_once(benchmark, engine_comparison_experiment,
                         graph, query_names=SMOKE_QUERIES, glogue=glogue)
     print()
     print(format_table(rows, title="Kernel-layer smoke: row vs vectorized (G30)"))

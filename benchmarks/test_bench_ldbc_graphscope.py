@@ -1,14 +1,11 @@
 """Fig. 9(b): LDBC IC/BI — Neo4j-plan vs GOpt-plan executed on the GraphScope-like backend."""
 
-from repro.bench import experiments, format_table
-from repro.bench.reporting import summarise_speedups
-
-from bench_utils import run_once
+from bench_utils import format_table, ldbc_experiment, run_once, summarise_speedups
 
 
 def test_bench_ldbc_on_graphscope(benchmark, g100):
     graph, glogue = g100
-    rows = run_once(benchmark, experiments.ldbc_experiment, graph,
+    rows = run_once(benchmark, ldbc_experiment, graph,
                     backend_kind="graphscope", glogue=glogue)
     print()
     print(format_table(rows, title="Fig. 9(b): LDBC queries on the GraphScope-like backend (seconds)"))
@@ -21,3 +18,12 @@ def test_bench_ldbc_on_graphscope(benchmark, g100):
                    and row["gopt_plan_work"] <= row["neo4j_plan_work"] * 1.05))
     print("GOpt wins or ties on %d / %d queries" % (wins, len(rows)))
     assert wins >= len(rows) * 0.5
+
+
+def test_ldbc_reduced(tiny_ldbc):
+    graph, glogue = tiny_ldbc
+    rows = ldbc_experiment(graph, backend_kind="graphscope", query_names=["IC5", "BI11"],
+                           glogue=glogue)
+    assert {row["query"] for row in rows} == {"IC5", "BI11"}
+    for row in rows:
+        assert "neo4j_plan" in row and "gopt_plan" in row

@@ -1,14 +1,11 @@
 """Fig. 9(a): LDBC IC/BI — Neo4j-plan vs GOpt-plan executed on the Neo4j-like backend."""
 
-from repro.bench import experiments, format_table
-from repro.bench.reporting import summarise_speedups
-
-from bench_utils import run_once
+from bench_utils import format_table, ldbc_experiment, run_once, summarise_speedups
 
 
 def test_bench_ldbc_on_neo4j(benchmark, g100):
     graph, glogue = g100
-    rows = run_once(benchmark, experiments.ldbc_experiment, graph,
+    rows = run_once(benchmark, ldbc_experiment, graph,
                     backend_kind="neo4j", glogue=glogue)
     print()
     print(format_table(rows, title="Fig. 9(a): LDBC queries on the Neo4j-like backend (seconds)"))

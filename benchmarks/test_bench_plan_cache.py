@@ -8,9 +8,8 @@ the per-call latency with the cache enabled vs disabled.
 import time
 
 from repro import GraphService
-from repro.bench import format_table
 
-from bench_utils import gc_paused, run_once
+from bench_utils import format_table, gc_paused, run_once
 
 TEMPLATE = """
     MATCH (p:Person)-[:KNOWS]->(f:Person)-[:IS_LOCATED_IN]->(c:Place)

@@ -1,16 +1,62 @@
 """Fig. 10(a)/(b): data-scale experiments for IC and BI queries on GraphScope."""
 
 from collections import defaultdict
+from typing import Dict, List, Optional, Sequence
 
-from repro.bench import experiments, format_table
+from repro.datasets import ldbc_snb_graph
+from repro.optimizer.glogue import Glogue
+from repro.optimizer.planner import build_optimizer
+from repro.service import GraphService
+from repro.workloads import bi_queries, ic_queries
 
-from bench_utils import gc_paused, run_once
+from bench_utils import (
+    BUDGETS,
+    engine_comparison_experiment,
+    format_table,
+    gc_paused,
+    optimize_and_run,
+    run_once,
+    select_queries,
+)
 
 # a representative subset keeps the sweep under a minute per workload while
 # still covering short interactive reads and heavier BI aggregations
 IC_SUBSET = ("IC1", "IC2", "IC5", "IC9")
 BI_SUBSET = ("BI2", "BI9", "BI12", "BI18")
 SCALES = ("G30", "G100", "G300", "G1000")
+
+
+def scaling_experiment(
+    scales: Sequence[str] = SCALES,
+    query_names: Optional[Sequence[str]] = None,
+    workload: str = "IC",
+    seed: int = 42,
+    timeout_seconds: float = 30.0,
+    engine: str = "row",
+) -> List[Dict[str, object]]:
+    """GOpt-on-GraphScope runtimes across dataset scales (Fig. 10(a)/(b)).
+
+    ``engine`` selects the plan interpreter (``"row"`` or ``"vectorized"``).
+    """
+    queries = select_queries(ic_queries() if workload == "IC" else bi_queries(), query_names)
+    rows = []
+    for scale in scales:
+        graph = ldbc_snb_graph(scale, seed=seed)
+        backend = GraphService.make_backend("graphscope", graph, {
+            **BUDGETS, "timeout_seconds": timeout_seconds, "engine": engine})
+        glogue = Glogue.from_graph(graph)
+        optimizer = build_optimizer(graph, "gopt", profile=backend.profile(), glogue=glogue)
+        for query in queries:
+            outcome = optimize_and_run(optimizer, backend, query.logical_plan())
+            rows.append({
+                "workload": workload,
+                "query": query.name,
+                "scale": scale,
+                "engine": engine,
+                "runtime": outcome["runtime"],
+                "work": outcome["work"],
+            })
+    return rows
 
 
 def _degradation(rows):
@@ -27,7 +73,7 @@ def _degradation(rows):
 
 
 def test_bench_scaling_ic(benchmark, capsys):
-    rows = run_once(benchmark, experiments.scaling_experiment,
+    rows = run_once(benchmark, scaling_experiment,
                     scales=SCALES, query_names=IC_SUBSET, workload="IC")
     print()
     print(format_table(rows, title="Fig. 10(a): IC query runtimes across dataset scales"))
@@ -36,7 +82,7 @@ def test_bench_scaling_ic(benchmark, capsys):
 
 
 def test_bench_scaling_bi(benchmark):
-    rows = run_once(benchmark, experiments.scaling_experiment,
+    rows = run_once(benchmark, scaling_experiment,
                     scales=SCALES, query_names=BI_SUBSET, workload="BI")
     print()
     print(format_table(rows, title="Fig. 10(b): BI query runtimes across dataset scales"))
@@ -56,7 +102,7 @@ def test_bench_scaling_engines(benchmark, g30, g100):
     def compare_engines():
         rows = []
         for scale, (graph, glogue) in (("G30", g30), ("G100", g100)):
-            for row in experiments.engine_comparison_experiment(
+            for row in engine_comparison_experiment(
                     graph, query_names=IC_SUBSET + BI_SUBSET, glogue=glogue):
                 rows.append({"scale": scale, **row})
         return rows

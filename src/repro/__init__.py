@@ -17,7 +17,9 @@ paper (SIGMOD 2025 / arXiv 2401.17786):
 * :mod:`repro.service` -- the session-based serving layer: ``GraphService``,
   sessions, prepared statements, streaming cursors, concurrent execution.
 * :mod:`repro.workloads` -- the paper's query suites (IC, BI, QR, QT, QC, ST).
-* :mod:`repro.bench` -- the experiment harness regenerating every figure.
+
+The experiments regenerating the paper's figures live beside the benchmarks
+that run them, in ``benchmarks/test_bench_*.py``.
 
 Quickstart::
 

@@ -10,7 +10,7 @@ comparison and arithmetic operators.  A small parser turns strings such as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import ParseError
 
@@ -342,9 +342,10 @@ class _ExprTokenizer:
 class _ExprParser:
     """Recursive-descent parser producing :class:`Expr` trees."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, parameters: Optional[Mapping[str, object]] = None):
         self._tokens = _ExprTokenizer(text)
         self._text = text
+        self._parameters = parameters
 
     def parse(self) -> Expr:
         expr = self._parse_or()
@@ -471,6 +472,8 @@ class _ExprParser:
         if name.startswith("$"):
             if len(name) == 1:
                 raise ParseError("expected a parameter name after '$'", text=self._text)
+            if self._parameters is not None:
+                return Literal(inline_parameter(self._parameters, name[1:], self._text))
             return Parameter(name[1:])
         token = self._tokens.peek()
         if token is not None and token[0] == "(":
@@ -497,6 +500,25 @@ class _ExprParser:
         return token[0] == kind or token[1] == kind
 
 
-def parse_expression(text: str) -> Expr:
-    """Parse an expression string such as ``"v3.name = 'China' AND v1.age > 30"``."""
-    return _ExprParser(text).parse()
+def parse_expression(text: str, parameters: Optional[Mapping[str, object]] = None) -> Expr:
+    """Parse an expression string such as ``"v3.name = 'China' AND v1.age > 30"``.
+
+    ``$name`` placeholders become :class:`Parameter` nodes, or, when
+    ``parameters`` is given, literals holding the value bound to ``name``.
+    """
+    return _ExprParser(text, parameters).parse()
+
+
+def inline_parameter(parameters: Mapping[str, object], name: str, text: str) -> object:
+    """The value ``$name`` is replaced with when parameters are inlined at parse time.
+
+    The value is used as given -- no round trip through query text -- so any
+    string or float binds exactly as a deferred :class:`Parameter` would.
+    Sequences become tuples, as list literals do.
+    """
+    if name not in parameters:
+        raise ParseError("missing value for parameter $%s" % (name,), text=text)
+    value = parameters[name]
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return tuple(value)
+    return value

@@ -34,17 +34,6 @@ class GraphBuilder:
         self._key_to_id[key] = vid
         return vid
 
-    def ensure_vertex(
-        self,
-        key: Hashable,
-        vertex_type: str,
-        properties: Optional[Mapping[str, object]] = None,
-    ) -> int:
-        """Add the vertex if unseen, otherwise return its existing id."""
-        if key in self._key_to_id:
-            return self._key_to_id[key]
-        return self.add_vertex(key, vertex_type, properties)
-
     def add_edge(
         self,
         src_key: Hashable,

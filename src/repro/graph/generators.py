@@ -9,7 +9,7 @@ cardinality-estimation results.
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 def sample_degree_power_law(
@@ -119,37 +119,3 @@ def _poisson(rng: random.Random, lam: float) -> int:
         if p <= threshold:
             return k
         k += 1
-
-
-def connect_bipartite(
-    rng: random.Random,
-    sources: Sequence[int],
-    targets: Sequence[int],
-    mean_out_degree: float,
-    skewed: bool = False,
-) -> List[Tuple[int, int]]:
-    """Convenience wrapper choosing uniform or preferential attachment."""
-    generator: Callable = preferential_edges if skewed else uniform_edges
-    return dedupe_edges(generator(rng, sources, targets, mean_out_degree))
-
-
-def ensure_at_least_one(
-    rng: random.Random,
-    edges: List[Tuple[int, int]],
-    sources: Sequence[int],
-    targets: Sequence[int],
-    allow_self_loops: bool = False,
-) -> List[Tuple[int, int]]:
-    """Guarantee every source has at least one outgoing edge (e.g. Person->Place)."""
-    if not targets:
-        return edges
-    covered = {src for src, _ in edges}
-    extra: List[Tuple[int, int]] = []
-    for src in sources:
-        if src in covered:
-            continue
-        dst = targets[rng.randrange(len(targets))]
-        if dst == src and not allow_self_loops:
-            dst = targets[(targets.index(dst) + 1) % len(targets)]
-        extra.append((src, dst))
-    return edges + extra

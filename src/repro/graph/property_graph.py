@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import GraphError
 from repro.graph.schema import GraphSchema
@@ -211,13 +211,6 @@ class PropertyGraph:
         except KeyError:
             raise GraphError("unknown edge id %r" % (edge_id,))
 
-    def edge_endpoints(self, edge_id: int) -> Tuple[int, int]:
-        try:
-            src, dst, _ = self._edges[edge_id]
-        except KeyError:
-            raise GraphError("unknown edge id %r" % (edge_id,))
-        return src, dst
-
     def edge_property(self, edge_id: int, key: str, default=None):
         return self._edge_props.get(edge_id, {}).get(key, default)
 
@@ -262,12 +255,6 @@ class PropertyGraph:
     ) -> List[int]:
         """Neighbouring vertex ids along the given direction."""
         return [other for _, other in self.adjacent_edges(vertex_id, direction, label_constraint)]
-
-    def neighbor_set(
-        self, vertex_id: int, direction: Direction = Direction.OUT, label_constraint=None
-    ) -> Set[int]:
-        """Neighbour set used by worst-case-optimal intersection."""
-        return set(self.neighbors(vertex_id, direction, label_constraint))
 
     def out_degree(self, vertex_id: int, label_constraint=None) -> int:
         return len(self.out_edges(vertex_id, label_constraint))

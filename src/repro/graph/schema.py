@@ -3,8 +3,9 @@
 The schema plays two roles in the paper:
 
 * it is the ``Graph Schema S`` consumed by Algorithm 1 (type inference), which
-  needs the connectivity relations ``N_S(t)`` (vertex types reachable from a
-  vertex type) and ``N^E_S(t)`` (edge types leaving a vertex type); and
+  derives the connectivity relations ``N_S(t)`` (vertex types reachable from a
+  vertex type) and ``N^E_S(t)`` (edge types leaving a vertex type) from its
+  edge triples; and
 * it enumerates the concrete types that ``AllType`` constraints expand to.
 
 A schema can be declared explicitly (schema-strict systems such as GraphScope)
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import SchemaError
-from repro.graph.types import Direction, TypeConstraint
+from repro.graph.types import TypeConstraint
 
 
 @dataclass(frozen=True)
@@ -108,78 +109,13 @@ class GraphSchema:
         except KeyError:
             raise SchemaError("unknown vertex type %r" % (name,))
 
-    def vertex_property_type(self, vertex_type: str, prop: str) -> Optional[str]:
-        """Datatype of a vertex property, or ``None`` if undeclared."""
-        return self.vertex_type_def(vertex_type).properties.get(prop)
-
-    # -- connectivity (used by Algorithm 1) --------------------------------
-    def out_neighbor_types(self, vertex_type: str) -> FrozenSet[str]:
-        """``N_S(t)``: vertex types reachable via an outgoing edge from ``t``."""
-        return frozenset(d.dst_type for d in self._edge_defs if d.src_type == vertex_type)
-
-    def out_edge_labels(self, vertex_type: str) -> FrozenSet[str]:
-        """``N^E_S(t)``: labels of outgoing edges from vertex type ``t``."""
-        return frozenset(d.label for d in self._edge_defs if d.src_type == vertex_type)
-
-    def in_neighbor_types(self, vertex_type: str) -> FrozenSet[str]:
-        return frozenset(d.src_type for d in self._edge_defs if d.dst_type == vertex_type)
-
-    def in_edge_labels(self, vertex_type: str) -> FrozenSet[str]:
-        return frozenset(d.label for d in self._edge_defs if d.dst_type == vertex_type)
-
-    def neighbor_types(self, vertex_type: str, direction: Direction) -> FrozenSet[str]:
-        """Vertex types adjacent to ``vertex_type`` along the given direction."""
-        if direction is Direction.OUT:
-            return self.out_neighbor_types(vertex_type)
-        if direction is Direction.IN:
-            return self.in_neighbor_types(vertex_type)
-        return self.out_neighbor_types(vertex_type) | self.in_neighbor_types(vertex_type)
-
-    def edge_labels_between(
-        self,
-        src_types: Iterable[str],
-        dst_types: Iterable[str],
-        direction: Direction = Direction.OUT,
-    ) -> FrozenSet[str]:
-        """Labels of edges connecting any ``src_types`` to any ``dst_types``."""
-        src_set = set(src_types)
-        dst_set = set(dst_types)
-        labels = set()
-        for d in self._edge_defs:
-            forward = d.src_type in src_set and d.dst_type in dst_set
-            backward = d.src_type in dst_set and d.dst_type in src_set
-            if direction is Direction.OUT and forward:
-                labels.add(d.label)
-            elif direction is Direction.IN and backward:
-                labels.add(d.label)
-            elif direction is Direction.BOTH and (forward or backward):
-                labels.add(d.label)
-        return frozenset(labels)
-
-    def dst_types_of(self, label: str, src_types: Optional[Iterable[str]] = None) -> FrozenSet[str]:
-        src_set = None if src_types is None else set(src_types)
-        return frozenset(
-            d.dst_type
-            for d in self._edge_defs
-            if d.label == label and (src_set is None or d.src_type in src_set)
-        )
-
+    # -- connectivity ------------------------------------------------------
     def src_types_of(self, label: str, dst_types: Optional[Iterable[str]] = None) -> FrozenSet[str]:
         dst_set = None if dst_types is None else set(dst_types)
         return frozenset(
             d.src_type
             for d in self._edge_defs
             if d.label == label and (dst_set is None or d.dst_type in dst_set)
-        )
-
-    @property
-    def max_schema_degree(self) -> int:
-        """``d_S`` in the complexity analysis of Algorithm 1."""
-        if not self._vertex_types:
-            return 0
-        return max(
-            len(self.out_neighbor_types(t)) + len(self.in_neighbor_types(t))
-            for t in self._vertex_types
         )
 
     # -- constraint helpers -------------------------------------------------

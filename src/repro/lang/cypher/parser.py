@@ -10,7 +10,8 @@ Supported surface (sufficient for the paper's LDBC-style CGPs):
   ``count`` / ``sum`` / ``min`` / ``max`` / ``avg`` / ``collect``;
 * ``ORDER BY ... [ASC|DESC]``, ``LIMIT``;
 * ``UNION [ALL]`` between single queries;
-* ``$param`` placeholders substituted from a parameter dictionary.
+* ``$param`` placeholders, inlined from a parameter dictionary at parse time
+  or deferred to execution.
 
 The parser produces the AST of :mod:`repro.lang.cypher.ast`; lowering to GIR
 lives in :mod:`repro.lang.cypher.to_gir`.
@@ -22,7 +23,7 @@ import re
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ParseError
-from repro.gir.expressions import Expr, FunctionCall, parse_expression
+from repro.gir.expressions import Expr, FunctionCall, inline_parameter, parse_expression
 from repro.lang.cypher.ast import (
     CypherQuery,
     MatchClause,
@@ -75,6 +76,13 @@ def _tokenize(text: str) -> List[_Token]:
             tokens.append(_Token("STRING", text[i:j + 1], i, j + 1))
             i = j + 1
             continue
+        if ch == "$" and i + 1 < length and (text[i + 1].isalpha() or text[i + 1] == "_"):
+            j = i + 1
+            while j < length and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(_Token("PARAM", text[i + 1:j], i, j))
+            i = j
+            continue
         if ch.isdigit():
             j = i
             while j < length and (text[j].isdigit() or text[j] == "."):
@@ -109,10 +117,14 @@ def _tokenize(text: str) -> List[_Token]:
 
 
 class _Cursor:
-    def __init__(self, text: str, tokens: List[_Token]):
+    def __init__(self, text: str, tokens: List[_Token],
+                 parameters: Optional[Dict[str, object]] = None):
         self.text = text
         self.tokens = tokens
         self.index = 0
+        # inline mode: the values ``$name`` placeholders are replaced with;
+        # ``None`` defers them to execution
+        self.parameters = parameters
 
     def peek(self, offset: int = 0) -> Optional[_Token]:
         pos = self.index + offset
@@ -152,32 +164,11 @@ class _Cursor:
     def exhausted(self) -> bool:
         return self.index >= len(self.tokens)
 
-
-def _substitute_parameters(query: str, parameters: Optional[Dict[str, object]]) -> str:
-    parameters = parameters or {}
-
-    def replace(match: re.Match) -> str:
-        name = match.group(1)
-        if name not in parameters:
-            raise ParseError("missing value for parameter $%s" % (name,), text=query)
-        value = parameters[name]
-        if isinstance(value, str):
-            return _quote(value)
-        if isinstance(value, (list, tuple, set, frozenset)):
-            return "[%s]" % ", ".join(
-                _quote(v) if isinstance(v, str) else repr(v) for v in value
-            )
-        return repr(value)
-
-    return re.sub(r"\$([A-Za-z_][A-Za-z_0-9]*)", replace, query)
-
-
-def _quote(value: str) -> str:
-    """Quote a string parameter; neither tokenizer supports escape sequences,
-    so a value containing single quotes is emitted in double quotes."""
-    if "'" in value:
-        return '"%s"' % value.replace('"', "")
-    return "'%s'" % value
+    def at_number(self) -> bool:
+        """At a number literal, or at a ``$param`` whose value is inlined."""
+        token = self.peek()
+        return token is not None and (
+            token.kind == "NUMBER" or (token.kind == "PARAM" and self.parameters is not None))
 
 
 def parse_cypher(
@@ -196,10 +187,8 @@ def parse_cypher(
     hop ranges) cannot be deferred and raise :class:`ParseError`; callers
     fall back to inline substitution for those queries.
     """
-    if not defer_parameters:
-        query = _substitute_parameters(query, parameters)
     tokens = _tokenize(query)
-    cursor = _Cursor(query, tokens)
+    cursor = _Cursor(query, tokens, None if defer_parameters else (parameters or {}))
     parts: List[SingleQuery] = []
     union_all = True
     parts.append(_parse_single_query(cursor))
@@ -314,6 +303,8 @@ def _parse_property_map(cursor: _Cursor) -> Tuple[Tuple[str, object], ...]:
 
 
 def _literal_value(token: _Token, cursor: _Cursor) -> object:
+    if token.kind == "PARAM" and cursor.parameters is not None:
+        return inline_parameter(cursor.parameters, token.value, cursor.text)
     if token.kind == "STRING":
         return token.value[1:-1]
     if token.kind == "NUMBER":
@@ -327,6 +318,16 @@ def _literal_value(token: _Token, cursor: _Cursor) -> object:
         cursor.expect_op("]")
         return tuple(values)
     raise ParseError("expected a literal value", position=token.start, text=cursor.text)
+
+
+def _int_value(cursor: _Cursor, what: str) -> int:
+    """The integer at the cursor: a number literal or an inlined ``$param``."""
+    at_number = cursor.at_number()
+    token = cursor.next()
+    value = _literal_value(token, cursor) if at_number else None
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError("%s expects a number" % (what,), position=token.start, text=cursor.text)
+    return value
 
 
 def _parse_relationship(cursor: _Cursor) -> RelPattern:
@@ -383,17 +384,12 @@ def _parse_relationship(cursor: _Cursor) -> RelPattern:
 
 def _parse_hop_range(cursor: _Cursor) -> Tuple[int, int]:
     min_hops, max_hops = 1, 4
-    token = cursor.peek()
-    if token is not None and token.kind == "NUMBER":
-        cursor.next()
-        min_hops = int(token.value)
-        max_hops = min_hops
+    if cursor.at_number():
+        min_hops = max_hops = _int_value(cursor, "a hop range")
     if cursor.at_op(".."):
         cursor.next()
-        token = cursor.peek()
-        if token is not None and token.kind == "NUMBER":
-            cursor.next()
-            max_hops = int(token.value)
+        if cursor.at_number():
+            max_hops = _int_value(cursor, "a hop range")
         else:
             max_hops = max(min_hops, 4)
     return min_hops, max_hops
@@ -441,10 +437,7 @@ def _parse_order_limit(cursor: _Cursor) -> Tuple[List[OrderItem], Optional[int]]
         cursor.next()  # the skip count (ignored: not needed by the workloads)
     if cursor.at_keyword("LIMIT"):
         cursor.next()
-        token = cursor.next()
-        if token.kind != "NUMBER":
-            raise ParseError("LIMIT expects a number", position=token.start, text=cursor.text)
-        limit = int(token.value)
+        limit = _int_value(cursor, "LIMIT")
     return order_by, limit
 
 
@@ -457,7 +450,7 @@ def _parse_order_item(cursor: _Cursor) -> OrderItem:
     elif cursor.at_keyword("DESC"):
         cursor.next()
         ascending = False
-    return OrderItem(expression=_parse_item_expression(text)[0], ascending=ascending)
+    return OrderItem(expression=_parse_item_expression(text, cursor.parameters)[0], ascending=ascending)
 
 
 def _parse_items(cursor: _Cursor) -> List[ReturnItem]:
@@ -473,7 +466,7 @@ def _parse_items(cursor: _Cursor) -> List[ReturnItem]:
             cursor.next()
             alias_token = cursor.next()
             alias = alias_token.value
-        expr, aggregate, distinct = _parse_item_expression(text)
+        expr, aggregate, distinct = _parse_item_expression(text, cursor.parameters)
         items.append(ReturnItem(expression=expr, alias=alias, aggregate=aggregate, distinct=distinct))
         if cursor.at_op(","):
             cursor.next()
@@ -482,7 +475,9 @@ def _parse_items(cursor: _Cursor) -> List[ReturnItem]:
     return items
 
 
-def _parse_item_expression(text: str) -> Tuple[Expr, Optional[str], bool]:
+def _parse_item_expression(
+    text: str, parameters: Optional[Dict[str, object]]
+) -> Tuple[Expr, Optional[str], bool]:
     """Parse one projection item; returns (expr, aggregate function, distinct)."""
     stripped = text.strip()
     distinct = False
@@ -492,7 +487,7 @@ def _parse_item_expression(text: str) -> Tuple[Expr, Optional[str], bool]:
         stripped = "%s(%s)" % (match.group(1), match.group(2))
     if re.match(r"(?is)^count\s*\(\s*\*\s*\)$", stripped):
         return FunctionCall("count", ()), "count", distinct
-    expr = parse_expression(stripped)
+    expr = parse_expression(stripped, parameters)
     aggregate = None
     if isinstance(expr, FunctionCall) and expr.name.lower() in _AGGREGATES:
         aggregate = expr.name.lower()
@@ -538,4 +533,4 @@ def _parse_embedded_expression(cursor: _Cursor) -> Expr:
         stop_keywords={"MATCH", "OPTIONAL", "WITH", "RETURN", "ORDER", "LIMIT", "SKIP", "UNION"},
         stop_at_comma=False,
     )
-    return parse_expression(text)
+    return parse_expression(text, cursor.parameters)

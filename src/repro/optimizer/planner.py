@@ -36,7 +36,7 @@ from repro.gir.pattern import PatternGraph
 from repro.gir.plan import LogicalPlan
 from repro.graph.property_graph import PropertyGraph
 from repro.graph.types import TypeConstraint
-from repro.optimizer.baselines import UserOrderPlanner
+from repro.optimizer.baselines import CypherPlannerBaseline, UserOrderPlanner
 from repro.optimizer.cardinality import GlogueQuery, SelectivityConfig
 from repro.optimizer.glogue import Glogue
 from repro.optimizer.physical_plan import (
@@ -53,7 +53,12 @@ from repro.optimizer.physical_plan import (
     Sort,
     Union,
 )
-from repro.optimizer.physical_spec import BackendProfile, graphscope_profile
+from repro.optimizer.physical_spec import (
+    BackendProfile,
+    graphscope_profile,
+    graphscope_with_neo4j_costs,
+    neo4j_profile,
+)
 from repro.optimizer.rules import DEFAULT_RULES, HepPlanner
 from repro.optimizer.search import (
     PatternPlanNode,
@@ -349,3 +354,48 @@ class GOptimizer:
         if leftover:
             raise PlanningError("residual edges between shared vertices are not supported")
         return op
+
+
+#: the plan-producing pipelines the paper's evaluation compares: flavour name
+#: -> the :class:`OptimizerConfig` switches it turns off
+_FLAVOR_SWITCHES = {
+    # the full stack with the backend's own PhysicalSpec
+    "gopt": {},
+    # GOpt costing expansion with Neo4j's ExpandInto model while building
+    # GraphScope operators (Fig. 8(c))
+    "gopt-neo-cost": {},
+    # GOpt restricted to low-order statistics (Fig. 8(d))
+    "gopt-low-order": dict(use_high_order_statistics=False),
+    # a CypherPlanner-like baseline: greedy expand-only planning on low-order
+    # statistics, no type inference, ExpandInto operators
+    "neo4j": dict(enable_type_inference=False),
+    # GraphScope's rule-based-only behaviour: the user-written matching order
+    "gs": dict(enable_type_inference=False, enable_cbo=False),
+    # ablations that disable a single technique
+    "no-rbo": dict(enable_rbo=False),
+    "no-type-inference": dict(enable_type_inference=False),
+    "no-cbo": dict(enable_cbo=False),
+}
+
+
+def build_optimizer(
+    graph: PropertyGraph,
+    flavor: str = "gopt",
+    profile: Optional[BackendProfile] = None,
+    glogue: Optional[Glogue] = None,
+) -> GOptimizer:
+    """One of the optimizer flavours the paper compares (see ``_FLAVOR_SWITCHES``)."""
+    if flavor not in _FLAVOR_SWITCHES:
+        raise ValueError("unknown optimizer flavor %r" % (flavor,))
+    if glogue is None:
+        glogue = Glogue.from_graph(graph)
+    pattern_planner = None
+    if flavor == "gopt-neo-cost":
+        profile = graphscope_with_neo4j_costs()
+    elif flavor == "neo4j":
+        profile = neo4j_profile()
+        pattern_planner = CypherPlannerBaseline(
+            GlogueQuery(glogue, use_high_order=False), profile)
+    config = OptimizerConfig(**_FLAVOR_SWITCHES[flavor])
+    return GOptimizer.for_graph(graph, profile=profile, config=config, glogue=glogue,
+                                pattern_planner=pattern_planner)

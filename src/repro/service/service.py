@@ -90,19 +90,6 @@ class GraphService:
         # hot serving loop re-preparing one template skips the parse entirely
         self._template_cache = PlanCache(256)
 
-    # -- constructors ----------------------------------------------------------
-    @classmethod
-    def for_graph(
-        cls,
-        graph: PropertyGraph,
-        backend: Union[str, Backend] = "graphscope",
-        config: Optional[OptimizerConfig] = None,
-        plan_cache_size: Optional[int] = 128,
-        **backend_options,
-    ) -> "GraphService":
-        return cls(graph, backend=backend, config=config,
-                   plan_cache_size=plan_cache_size, **backend_options)
-
     @staticmethod
     def make_backend(backend, graph, options) -> Backend:
         if isinstance(backend, Backend):
@@ -133,20 +120,6 @@ class GraphService:
         from repro.service.session import Session
 
         return Session(self, self.backend.options.override(**overrides))
-
-    def executor(self, max_workers: int = 8, **options) -> "ConcurrentExecutor":
-        """Open a :class:`~repro.service.ConcurrentExecutor` over this service.
-
-        ``options`` are forwarded verbatim -- ``deadline_seconds``,
-        ``engine`` and the admission-control knobs (``max_queue_depth``,
-        ``queue_timeout_seconds``, ``per_client_limit``, ``admission``)::
-
-            with service.executor(max_workers=4, max_queue_depth=16) as ex:
-                outcomes = ex.run_all(requests)
-        """
-        from repro.service.executor import ConcurrentExecutor
-
-        return ConcurrentExecutor(self, max_workers=max_workers, **options)
 
     # -- plan cache ------------------------------------------------------------
     def cache_info(self) -> PlanCacheInfo:

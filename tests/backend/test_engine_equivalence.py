@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro import GraphService
 from repro.backend import GraphScopeLikeBackend, Neo4jLikeBackend
-from repro.bench.pipelines import build_optimizer
 from repro.graph.property_graph import PropertyGraph
 from repro.optimizer.physical_plan import Limit
+from repro.optimizer.planner import build_optimizer
 from repro.workloads import bi_queries, ic_queries, qc_queries, qr_queries, qt_queries
 
 MICRO_SETS = {qs.name: qs for qs in (qr_queries(), qt_queries(), qc_queries())}

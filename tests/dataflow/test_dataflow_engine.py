@@ -20,7 +20,6 @@ from repro.backend.runtime.dataflow import (
     extract_segment,
     plan_refcounts,
 )
-from repro.bench.pipelines import build_optimizer
 from repro.graph.types import Direction, TypeConstraint
 from repro.optimizer.physical_plan import (
     ExpandEdge,
@@ -28,6 +27,7 @@ from repro.optimizer.physical_plan import (
     PhysicalPlan,
     ScanVertex,
 )
+from repro.optimizer.planner import build_optimizer
 from repro.workloads import ic_queries, qc_queries
 
 pytestmark = pytest.mark.dataflow

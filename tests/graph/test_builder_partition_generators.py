@@ -7,9 +7,7 @@ import pytest
 from repro.errors import GraphError
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import (
-    connect_bipartite,
     dedupe_edges,
-    ensure_at_least_one,
     preferential_edges,
     sample_degree_power_law,
     uniform_edges,
@@ -32,13 +30,6 @@ class TestGraphBuilder:
         builder.add_vertex("a", "T")
         with pytest.raises(GraphError):
             builder.add_vertex("a", "T")
-
-    def test_ensure_vertex_idempotent(self):
-        builder = GraphBuilder()
-        first = builder.ensure_vertex("a", "T")
-        second = builder.ensure_vertex("a", "T")
-        assert first == second
-        assert builder.num_vertices == 1
 
     def test_edge_with_unknown_key_rejected(self):
         builder = GraphBuilder()
@@ -140,14 +131,3 @@ class TestGenerators:
 
     def test_dedupe_edges(self):
         assert dedupe_edges([(1, 2), (1, 2), (2, 3)]) == [(1, 2), (2, 3)]
-
-    def test_connect_bipartite_modes(self):
-        rng = random.Random(3)
-        uniform = connect_bipartite(rng, range(10), range(10), 2.0, skewed=False)
-        skewed = connect_bipartite(rng, range(10), range(10), 2.0, skewed=True)
-        assert all(isinstance(edge, tuple) for edge in uniform + skewed)
-
-    def test_ensure_at_least_one(self):
-        rng = random.Random(4)
-        edges = ensure_at_least_one(rng, [], range(5), range(5, 10))
-        assert {src for src, _ in edges} == set(range(5))

@@ -78,7 +78,7 @@ class TestAccess:
         edge = graph.edge(0)
         assert edge.label == "Knows"
         assert edge.properties["since"] == 2020
-        assert graph.edge_endpoints(0) == (0, 1)
+        assert (edge.src, edge.dst) == (0, 1)
 
     def test_unknown_edge_raises(self, graph):
         with pytest.raises(GraphError):
@@ -115,9 +115,8 @@ class TestAdjacency:
         # vertex 1 has two incoming Knows edges and one outgoing LocatedIn edge
         assert len(graph.adjacent_edges(1, Direction.BOTH)) == 3
 
-    def test_neighbors_and_sets(self, graph):
+    def test_neighbors(self, graph):
         assert sorted(graph.neighbors(0, Direction.OUT)) == [1, 1, 2]
-        assert graph.neighbor_set(0, Direction.OUT) == {1, 2}
 
     def test_degrees(self, graph):
         assert graph.out_degree(0) == 3

@@ -20,7 +20,7 @@ import pathlib
 import pytest
 
 from repro.backend import GraphScopeLikeBackend, Neo4jLikeBackend
-from repro.bench.pipelines import build_optimizer
+from repro.optimizer.planner import build_optimizer
 from repro.workloads import bi_queries, ic_queries, qc_queries, qr_queries, qt_queries
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "golden" / "explain"

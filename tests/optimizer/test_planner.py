@@ -17,7 +17,7 @@ from repro.optimizer.physical_plan import (
     Sort,
     Union,
 )
-from repro.optimizer.planner import GOptimizer, OptimizerConfig
+from repro.optimizer.planner import GOptimizer, OptimizerConfig, build_optimizer
 from repro.optimizer.physical_spec import graphscope_profile, neo4j_profile
 
 
@@ -167,3 +167,13 @@ class TestPipeline:
         payload = report.physical_plan.to_dict()
         assert payload["op"] == report.physical_plan.root.name
         assert isinstance(payload["inputs"], list)
+
+
+class TestFlavors:
+    def test_build_optimizer_flavors(self, ldbc_graph, ldbc_glogue):
+        for flavor in ("gopt", "gopt-neo-cost", "gopt-low-order", "neo4j", "gs",
+                       "no-rbo", "no-type-inference", "no-cbo"):
+            optimizer = build_optimizer(ldbc_graph, flavor, glogue=ldbc_glogue)
+            assert optimizer is not None
+        with pytest.raises(ValueError):
+            build_optimizer(ldbc_graph, "mystery", glogue=ldbc_glogue)

@@ -5,7 +5,6 @@ import time
 
 import pytest
 
-from repro.bench.pipelines import build_optimizer
 from repro.errors import PlanningError
 from repro.gir.pattern import PatternGraph
 from repro.graph.types import AllType, BasicType, UnionType
@@ -32,6 +31,7 @@ from repro.optimizer.physical_spec import (
     graphscope_with_neo4j_costs,
     neo4j_profile,
 )
+from repro.optimizer.planner import build_optimizer
 from repro.optimizer.search import (
     PatternSearcher,
     build_pattern_physical,

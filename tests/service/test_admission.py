@@ -119,8 +119,8 @@ class TestExecutorAdmission:
             assert outcome.ok
             assert outcome.request.client == "tenant-a"
 
-    def test_service_executor_convenience(self, service):
-        with service.executor(max_workers=2, max_queue_depth=4) as executor:
+    def test_queue_depth_builds_admission(self, service):
+        with ConcurrentExecutor(service, max_workers=2, max_queue_depth=4) as executor:
             assert executor.admission is not None
             outcome = executor.submit(QUERY).result()
             assert outcome.ok

@@ -175,6 +175,24 @@ class TestInlineFallback:
             assert (prepared.run({"n": 7}).fetch_all()
                     == inlined_rows(social_graph, query, {"n": 7}))
 
+    @pytest.mark.parametrize("value", ['O\'Brien "x"', 1e16, 1.5e-07])
+    @pytest.mark.parametrize("query", [
+        "MATCH (p:Person) WHERE p.name = $n RETURN $v AS v LIMIT $k",
+        "MATCH (p:Person {name: $n}) RETURN $v AS v LIMIT $k",
+    ])
+    def test_inline_binds_the_deferred_value(self, service, social_graph, query, value):
+        """Inlined values reach the plan as given, not as query text: a string
+        holding both quote kinds and a float whose repr has an exponent bind
+        exactly what the deferred path binds."""
+        person = next(iter(social_graph.vertices_of_type("Person")))
+        parameters = {"n": social_graph.vertex_property(person, "name"), "v": value, "k": 1}
+        with service.session() as session:
+            deferred = session.prepare("MATCH (p:Person) WHERE p.name = $n RETURN $v AS v LIMIT 1")
+            inline = session.prepare(query)
+            assert deferred.deferred and not inline.deferred
+            assert deferred.run(parameters).fetch_all() == [{"v": value}]
+            assert inline.run(parameters).fetch_all() == [{"v": value}]
+
 
 class TestTypeSignatures:
     def test_freeze_type_ignores_values(self):

@@ -32,8 +32,11 @@ def test_removed_names_are_gone(social_graph):
     assert not hasattr(repro, "OptimizedQuery")
     assert not hasattr(repro.backend, "StreamingResult")
     assert not hasattr(repro.backend.base, "StreamingResult")
-    with pytest.raises(ImportError):
-        importlib.import_module("repro.api")
+    for module_name in ("repro.api", "repro.bench"):
+        with pytest.raises(ImportError):
+            importlib.import_module(module_name)
+    for alias in ("for_graph", "executor"):
+        assert not hasattr(GraphService, alias), alias
     for name in ("BROADCAST_THRESHOLD", "DataflowRowStream",
                  "open_dataflow_stream", "Morsel", "morselize"):
         assert not hasattr(dataflow, name), name
