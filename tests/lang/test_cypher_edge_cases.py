@@ -45,6 +45,39 @@ class TestParserEdgeCases:
                              parameters={"name": "O'Hara"})
         assert plan.patterns()
 
+    def test_property_map_parameters_bind_as_given(self):
+        ast = parse_cypher("MATCH (a {score: $f, name: $s})-[e:KNOWS {w: $g}]->(b) RETURN a",
+                           parameters={"f": 1e16, "s": 'O\'Brien "x"', "g": 1.5e-07})
+        pattern = ast.parts[0].clauses[0].patterns[0]
+        assert pattern.nodes[0].properties == (("score", 1e16), ("name", 'O\'Brien "x"'))
+        assert pattern.relationships[0].properties == (("w", 1.5e-07),)
+
+    def test_hop_range_parameters_inlined(self):
+        ast = parse_cypher("MATCH (a)-[p:KNOWS*$lo..$hi]->(b) RETURN a",
+                           parameters={"lo": 2, "hi": 3})
+        rel = ast.parts[0].clauses[0].patterns[0].relationships[0]
+        assert (rel.min_hops, rel.max_hops) == (2, 3)
+        ast = parse_cypher("MATCH (a)-[p:KNOWS*$h]->(b) RETURN a", parameters={"h": 2})
+        rel = ast.parts[0].clauses[0].patterns[0].relationships[0]
+        assert (rel.min_hops, rel.max_hops) == (2, 2)
+
+    @pytest.mark.parametrize("value", [2.5, "3", True])
+    def test_structural_parameter_must_be_an_integer(self, value):
+        with pytest.raises(ParseError, match="LIMIT expects a number"):
+            parse_cypher("MATCH (a) RETURN a LIMIT $k", parameters={"k": value})
+        with pytest.raises(ParseError, match="a hop range expects a number"):
+            parse_cypher("MATCH (a)-[p:KNOWS*1..$h]->(b) RETURN a", parameters={"h": value})
+
+    @pytest.mark.parametrize("query", [
+        "MATCH (a) RETURN a LIMIT $k",
+        "MATCH (a)-[p:KNOWS*1..$h]->(b) RETURN a",
+        "MATCH (a {name: $n}) RETURN a",
+    ])
+    def test_structural_parameters_cannot_be_deferred(self, query):
+        # the prepared-query path relies on this error to fall back to inlining
+        with pytest.raises(ParseError):
+            parse_cypher(query, defer_parameters=True)
+
     def test_open_ended_star(self):
         ast = parse_cypher("MATCH (a)-[p:KNOWS*]->(b) RETURN a")
         rel = ast.parts[0].clauses[0].patterns[0].relationships[0]
