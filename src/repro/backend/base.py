@@ -33,12 +33,6 @@ class ExecutionMetrics:
     operators_executed: int
     cells_produced: int = 0
     timed_out: bool = False
-    #: True when a dataflow infrastructure fault was contained by
-    #: re-executing the plan on the row engine; the counters then describe
-    #: the recovery execution, not the failed dataflow attempt
-    degraded: bool = False
-    #: human-readable root cause of the degradation (None when not degraded)
-    degraded_reason: Optional[str] = None
 
     @property
     def total_work(self) -> int:
@@ -56,7 +50,6 @@ class ExecutionMetrics:
             "operators_executed": self.operators_executed,
             "cells_produced": self.cells_produced,
             "timed_out": self.timed_out,
-            "degraded": self.degraded,
         }
 
 
@@ -269,8 +262,6 @@ class ResultCursor:
             operators_executed=counters.operators_executed,
             cells_produced=counters.cells_produced,
             timed_out=self.timed_out,
-            degraded=self._ctx.degraded is not None,
-            degraded_reason=self._ctx.degraded,
         )
 
 
@@ -293,6 +284,11 @@ class Backend:
       the graph partitioner's shards (one partition without a
       partitioner), connected by exchange operators and run on the
       caller's thread.
+
+    All three fail alike: a budget overrun flags ``timed_out``, a cancel
+    raises ``CancelledError``, and any other exception -- a query error or
+    an infrastructure fault -- reaches the caller unchanged.  Nothing is
+    retried or re-executed on another engine.
 
     Every execution is a stream (:meth:`execute_streaming`);
     :meth:`execute` drains one.  All engines produce identical rows in
@@ -400,9 +396,8 @@ class Backend:
         are pulled.  The dataflow engine also starts on the first pull, but
         that pull runs its partition pipelines to the final gather before
         the first row is known; a close from another thread cancels it at
-        its next checkpoint.  An infrastructure fault inside it (a crash --
-        not a query error) always degrades to a row-engine re-execution,
-        flagged in ``metrics.degraded``.
+        its next checkpoint.  Under every engine, an exception raised
+        inside the execution reaches the consumer on the pull that hit it.
         """
         options = (options or self.options).override(**overrides)
         ctx = self._make_context(options, parameters, cancel_token)

@@ -211,10 +211,6 @@ class ExecutionContext:
         # populated by the dataflow engine: observed exchange traffic
         # (None for the serial engines)
         self.exchange_stats = None
-        # the dataflow engine runs the shared operator kernels with simulated
-        # shuffle charging off inside its segments: the exchange that
-        # physically routes their output charges the observed communication
-        self.simulate_shuffles = True
         # high-water mark of rows buffered by streaming pipeline-breaker
         # states (top-k heaps, join build sides, aggregation groups) -- the
         # observable proof that incremental breakers are bounded-memory
@@ -229,10 +225,6 @@ class ExecutionContext:
         # a cursor close / executor shutdown stops work within one kernel
         # batch in every engine
         self.cancel_token = cancel_token or CancellationToken()
-        # set (to a human-readable reason) when a dataflow infrastructure
-        # fault was contained by re-executing the plan on the row engine;
-        # surfaced as ``ExecutionMetrics.degraded``
-        self.degraded: Optional[str] = None
         # cheap checkpoint counter: ``tick`` probes the deadline/cancellation
         # once every ``batch_size`` units of otherwise-unaccounted work (e.g.
         # scanned-but-rejected vertices), so long selective streams cannot
@@ -306,7 +298,7 @@ class ExecutionContext:
     # -- shuffle accounting ---------------------------------------------------------
     def charge_shuffle_between(self, src_vertex: int, dst_vertex: int, rows: int = 1) -> None:
         """Count a shuffle when two vertices live on different partitions."""
-        if self.partitioner is None or not self.simulate_shuffles:
+        if self.partitioner is None:
             return
         if not self.partitioner.is_local(src_vertex, dst_vertex):
             self.counters.tuples_shuffled += rows

@@ -13,8 +13,7 @@ work counters, as the serial row engine; its one job is to *observe* at its
 exchanges the communication that the ``graphscope_like`` backend
 *simulates*, which turns the optimizer's communication cost model into a
 testable prediction.  An execution starts on the consumer's first pull
-(:func:`stream_dataflow_rows`), and an infrastructure fault degrades to a
-serial row-engine re-execution (:func:`recover_on_row_engine`).
+(:func:`stream_dataflow_rows`) and fails the way the serial engines do.
 """
 
 from repro.backend.runtime.dataflow.exchange import ExchangeSpec, ExchangeStats
@@ -28,7 +27,6 @@ from repro.backend.runtime.dataflow.plan import (
 )
 from repro.backend.runtime.dataflow.runtime import (
     DataflowExecutor,
-    recover_on_row_engine,
     stream_dataflow_rows,
 )
 
@@ -42,6 +40,5 @@ __all__ = [
     "build_pipelines",
     "extract_segment",
     "plan_refcounts",
-    "recover_on_row_engine",
     "stream_dataflow_rows",
 ]

@@ -6,15 +6,15 @@ Three kinds of data movement connect the per-partition pipelines:
   (``partition_of(row[tag].id)``).  Used after every row-generating expansion
   so that a row always lives where its newest vertex lives, exactly the
   locality discipline the GOpt cost model assumes.  Rows that cross
-  partitions here are *observed* communication and are charged to the
-  ``tuples_shuffled`` work counter, which is how the real runtime reconciles
-  with the simulated counts of :mod:`repro.backend.graphscope_like`.
+  partitions here are *observed* communication, recorded as
+  ``shuffled``; the shared kernels charge the simulated counts of
+  :mod:`repro.backend.graphscope_like` to ``tuples_shuffled`` on their own,
+  so the two are independent counts that must reconcile.
 * **relocate** -- the same hash routing, but keyed on the *anchor* of the
   next expansion when that anchor is not the vertex the row is currently
   co-located with (tree-shaped patterns).  The cost model folds this
   repartitioning into its per-expansion estimate instead of pricing it, so
-  relocation traffic is recorded in :class:`ExchangeStats` but not charged
-  to ``tuples_shuffled``.
+  relocation traffic is recorded apart, as ``relocated``.
 * **gather** -- merge the final per-partition outputs of a segment at the
   driver, in lineage order.  Recorded as observed traffic; the driver-side
   pipeline breakers (joins included) then charge the simulated
@@ -72,8 +72,8 @@ class ExchangeSpec:
     """Compiler description of the exchange following one pipeline.
 
     ``tag`` names the binding whose vertex id keys the hash routing.
-    ``priced`` exchanges charge crossing rows to ``tuples_shuffled`` (these
-    are the shuffles the cost model simulates); relocations do not.
+    ``priced`` exchanges record crossing rows as ``shuffled`` (these are
+    the shuffles the cost model simulates); relocations as ``relocated``.
     ``coalesce_bundles`` makes the exchange count one transfer per
     (parent row, target vertex) bundle instead of per row -- the
     ``ExpandIntersect`` operator unfolds multi-edge matches only after the

@@ -20,10 +20,10 @@ Exchange placement implements the locality discipline of the GOpt cost
 model: a row always lives on the partition owning the anchor of the next
 adjacency-consuming operator.  A *relocate* exchange (unpriced) restores
 that invariant when a tree-shaped pattern expands from an older anchor; a
-*shuffle* exchange (priced, charged to ``tuples_shuffled``) follows every
-operator that binds a new vertex, routing each row to its new owner.  With
-that invariant, the rows observed crossing partitions at priced exchanges
-are exactly the rows the simulated cost model counts.
+*shuffle* exchange (priced) follows every operator that binds a new vertex,
+routing each row to its new owner.  With that invariant, the rows observed
+crossing partitions at priced exchanges are exactly the rows the simulated
+cost model counts.
 """
 
 from __future__ import annotations

@@ -20,14 +20,15 @@ caller's thread:
 Rows carry lineage tuples; the final gather merges all partitions' outputs
 in lineage order, which reproduces the serial row engine's row order exactly
 -- the differential suite holds the dataflow engine to the same rows and
-work counters as the row and vectorized engines.  Communication observed at
-priced exchanges is charged to the ``tuples_shuffled`` counter and must
-reconcile with the simulated counts of the ``graphscope_like`` cost model
-(see :mod:`repro.backend.runtime.dataflow.exchange`).
+work counters as the row and vectorized engines.  The shared kernels charge
+``tuples_shuffled`` exactly as they do under the serial engines; the
+exchanges only record in :class:`ExchangeStats` what they physically route,
+an independent count that must reconcile with it (see
+:mod:`repro.backend.runtime.dataflow.exchange`).
 
 :func:`stream_dataflow_rows` is the engine's row stream: it runs the
-executor on the consumer's first pull and contains an infrastructure fault
-by the one recovery path, :func:`recover_on_row_engine`.
+executor on the consumer's first pull.  A failure inside it reaches the
+caller unchanged, as it does under the serial engines.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from repro.backend.runtime.dataflow.steps import Pair, charge_outputs
 from repro.backend.runtime.kernels import registry
 from repro.backend.runtime.kernels.common import Row, scan_candidates
 from repro.backend.runtime.streaming import execute_operator
-from repro.errors import GOptError, WorkerFailure
 from repro.graph.partition import GraphPartitioner
 from repro.optimizer.physical_plan import PhysicalOperator
 from repro.testing.faults import fault_point
@@ -66,18 +66,12 @@ class DataflowExecutor:
         self.num_partitions = self._exec_partitioner.num_partitions
         self.stats = ExchangeStats()
         self.refcounts: Dict[int, int] = {}
-        #: the partition whose step is running, -1 while the driver works
-        self._partition = -1
 
     # -- public API ------------------------------------------------------------
     def run(self, root: PhysicalOperator) -> List[Row]:
         self.refcounts = plan_refcounts(root)
         try:
             return self._node(root)
-        except GOptError:
-            raise
-        except Exception as error:  # noqa: BLE001 - infrastructure fault
-            raise self._wrap_failure(error) from error
         finally:
             self.ctx.exchange_stats = self.stats
 
@@ -127,17 +121,9 @@ class DataflowExecutor:
         ctx.counters.operators_executed += len(segment.steps)
         pipelines = build_pipelines(segment)
         gathered: List[Pair] = []
-        # the shared kernels charge simulated shuffles inline; inside a
-        # segment the exchange charges the observed communication instead
-        ctx.simulate_shuffles = False
-        try:
-            for partition, items in enumerate(sources):
-                for morsel in self._morsels(items):
-                    self._push(pipelines, 0, partition, morsel, gathered)
-        finally:
-            ctx.simulate_shuffles = True
-        self._partition = -1
-        fault_point("driver.gather")
+        for partition, items in enumerate(sources):
+            for morsel in self._morsels(items):
+                self._push(pipelines, 0, partition, morsel, gathered)
         self.stats.record_gather(len(gathered))
         gathered.sort(key=lambda pair: pair[0])
         return [row for _, row in gathered]
@@ -150,21 +136,17 @@ class DataflowExecutor:
     def _push(self, pipelines: List[Pipeline], stage: int, partition: int,
               morsel: List, gathered: List[Pair]) -> None:
         """Run one morsel through ``stage`` on ``partition`` and route its output."""
-        self._partition = partition
         ctx = self.ctx
         pipeline = pipelines[stage]
         data = morsel
         for spec in pipeline.steps:
-            fault_point("worker.kernel", op=type(spec.op).__name__,
-                        stage=stage, partition=partition)
+            fault_point("stream.kernel", op=type(spec.op).__name__)
             kernel = registry.kernel_for(registry.MODE_DATAFLOW, type(spec.op))
             data = kernel(spec.op, ctx, data)
             charge_outputs(ctx, data)
             if not data:
                 return
         exchange = pipeline.out_exchange
-        fault_point("exchange.route", stage=stage, partition=partition,
-                    priced=bool(exchange is not None and exchange.priced))
         if exchange is None:
             gathered.extend(data)
             return
@@ -192,61 +174,11 @@ class DataflowExecutor:
             groups.setdefault(dest, []).append((seq, row))
         if exchange.priced:
             self.stats.record_shuffle(crossed, stayed)
-            if ctx.partitioner is not None:
-                ctx.counters.tuples_shuffled += crossed
         else:
             self.stats.record_relocate(crossed)
         for dest, dest_pairs in groups.items():
             for dest_morsel in self._morsels(dest_pairs):
                 self._push(pipelines, stage + 1, dest, dest_morsel, gathered)
-
-    def _wrap_failure(self, error: BaseException) -> WorkerFailure:
-        """Type an infrastructure fault (anything that is not a ``GOptError``).
-
-        Query errors (timeouts, budget overruns, cancellations, bad
-        parameters) pass through :meth:`run` untouched -- they mean what they
-        say.  Anything else is wrapped in :class:`~repro.errors.WorkerFailure`
-        carrying the partition whose step failed (-1 for the driver) and the
-        partial exchange traffic observed so far, which is what the
-        backend's degraded re-execution dispatches on.
-        """
-        return WorkerFailure(
-            "dataflow %s failed: %s: %s" % (
-                "driver" if self._partition < 0
-                else "partition %d" % self._partition,
-                type(error).__name__, error),
-            worker_id=self._partition,
-            exchange_stats=self.stats.snapshot(),
-            cause=error,
-        )
-
-
-def recover_on_row_engine(root: PhysicalOperator, ctx: ExecutionContext,
-                          failure: WorkerFailure) -> List[Row]:
-    """Contain a dataflow infrastructure fault by serial re-execution.
-
-    Partial results and the partial run's counters are discarded; the plan
-    re-executes on the row engine in a fresh context that shares the
-    original deadline clock, budget and cancellation token -- a degraded
-    result still lands *within the query's deadline* or times out like any
-    other execution.  On success the original context adopts the recovery
-    counters and records why it degraded (``ExecutionMetrics.degraded``);
-    the partial exchange stats of the failed attempt remain observable on
-    the failure and the context.
-    """
-    recovery = ExecutionContext(
-        ctx.graph,
-        partitioner=ctx.partitioner,
-        options=ctx.options.override(engine="row"),
-        parameters=ctx.parameters,
-        cancel_token=ctx.cancel_token,
-    )
-    recovery._start_time = ctx._start_time
-    rows = execute_operator(root, recovery)
-    ctx.counters = recovery.counters
-    ctx.peak_held_rows = recovery.peak_held_rows
-    ctx.degraded = str(failure)
-    return rows
 
 
 def stream_dataflow_rows(root: PhysicalOperator,
@@ -259,11 +191,6 @@ def stream_dataflow_rows(root: PhysicalOperator,
     (a cursor closed from another thread, an executor shutdown) stops the
     execution at its next checkpoint and surfaces as ``CancelledError``;
     :class:`~repro.backend.base.ResultCursor` decides whether that ends the
-    stream quietly or reaches the consumer.  An infrastructure fault is
-    contained by :func:`recover_on_row_engine`.
+    stream quietly or reaches the consumer.
     """
-    try:
-        rows = DataflowExecutor(ctx).run(root)
-    except WorkerFailure as failure:
-        rows = recover_on_row_engine(root, ctx, failure)
-    yield from rows
+    yield from DataflowExecutor(ctx).run(root)

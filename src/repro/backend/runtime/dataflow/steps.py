@@ -10,16 +10,14 @@ lineage appends one index per produced row to the input row's lineage, so
 sorting the union of all partitions' outputs by lineage reproduces the
 serial engine's row order bit-for-bit.
 
-Two deliberate differences from the serial drivers:
-
-* steps run with ``ctx.simulate_shuffles`` off, so the kernels'
-  ``charge_shuffle_between`` calls are inert -- communication is charged by
-  the *exchange* that physically routes the produced rows (the observed
-  count equals the simulated one because a row is always co-located with
-  the expansion's anchor when the kernel runs);
-* steps charge intermediates and cells per processed morsel instead of per
-  row, so the budget is checked once per morsel.  The totals are
-  identical.
+The kernels charge ``tuples_shuffled`` through ``charge_shuffle_between``
+exactly as under the serial drivers; the *exchange* that physically routes
+the produced rows only records what it moved in
+:class:`~repro.backend.runtime.dataflow.exchange.ExchangeStats` (the two
+counts agree because a row is always co-located with the expansion's anchor
+when the kernel runs).  One deliberate difference from the serial drivers:
+steps charge intermediates and cells per processed morsel instead of per
+row, so the budget is checked once per morsel.  The totals are identical.
 
 Pipeline breakers (Sort, Aggregate, HashJoin, Limit, Dedup, Union) are
 declared registry fallbacks: the driver interprets them through the serial

@@ -19,10 +19,9 @@ adapter observes identical counter totals on a full drain.  Output-level
 charges (intermediate rows, produced cells) are the adapters' concern: per
 row or batch for the serial pipelines, per morsel for the dataflow steps.
 
-The dataflow engine runs these same kernels inside its segments with the
-context's ``simulate_shuffles`` flag off: the exchange that physically routes the
-produced rows charges the observed communication instead (see
-:mod:`repro.backend.runtime.dataflow.steps`).
+The dataflow engine runs these same kernels inside its segments, shuffle
+charges included; its exchanges only record the rows they physically route
+(see :mod:`repro.backend.runtime.dataflow.steps`).
 """
 
 from __future__ import annotations

@@ -127,8 +127,8 @@ def execute_operator(op: PhysicalOperator, ctx: ExecutionContext) -> List[Row]:
     per-context operator cache, so a second request replays it.
 
     For the callers that need a table rather than a stream -- the second
-    parent of a shared subtree, a dataflow driver-side pipeline breaker
-    (whose children are already cached) and the serial recovery run.
+    parent of a shared subtree and a dataflow driver-side pipeline breaker
+    (whose children are already cached).
     """
     rows = ctx.cached_result(id(op))
     if rows is None:

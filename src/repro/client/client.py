@@ -22,7 +22,7 @@ Non-2xx responses raise the *same typed exceptions* the in-process API
 uses -- :class:`~repro.errors.ServiceOverloadedError` (with the server's
 ``Retry-After`` hint), :class:`~repro.errors.ExecutionTimeout`,
 :class:`~repro.errors.ParseError`, :class:`~repro.errors.NotFoundError`,
-:class:`~repro.errors.WorkerFailure` -- so retry/backoff code is portable
+:class:`~repro.errors.CancelledError` -- so retry/backoff code is portable
 between in-process and remote serving.
 """
 

@@ -98,26 +98,3 @@ class ServiceOverloadedError(GOptError):
         super().__init__(message)
         self.retry_after_seconds = retry_after_seconds
 
-
-class WorkerFailure(ExecutionError):
-    """An infrastructure fault inside a dataflow partition step or driver.
-
-    Distinct from *query* errors (which are ``GOptError`` subclasses raised
-    by the plan itself, e.g. a missing parameter): a ``WorkerFailure`` wraps
-    an unexpected non-GOpt exception raised while executing a plan fragment.
-    The dataflow executor discards partial results and raises this; the
-    backend then always degrades by re-executing the plan on the row engine
-    (``ExecutionMetrics.degraded``).  Nothing retries it in-process; it
-    stays the typed class a server maps to 503.
-
-    Attributes:
-        worker_id: the partition whose step failed (-1 for the driver).
-        exchange_stats: partial observed exchange traffic up to the failure.
-        cause: the original exception.
-    """
-
-    def __init__(self, message, worker_id=-1, exchange_stats=None, cause=None):
-        super().__init__(message)
-        self.worker_id = worker_id
-        self.exchange_stats = exchange_stats
-        self.cause = cause

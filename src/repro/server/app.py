@@ -254,7 +254,7 @@ class ServerApp:
             tenant, session, ttl_seconds=None if ttl is None else float(ttl))
         return Response.json(SessionWire(
             session_id=entry.session_id, tenant=tenant,
-            engine=payload.get("engine"),
+            engine=session.engine,
             ttl_seconds=entry.ttl_seconds).to_dict(), status=201)
 
     def handle_close_session(self, tenant: str, session_id: str) -> Response:
@@ -341,8 +341,7 @@ class ServerApp:
             if parameters:
                 report = session.prepare(query, language).report(parameters)
             else:
-                report = self.service.optimize(query, language, None,
-                                               engine=session.engine)
+                report = self.service.optimize(query, language)
         finally:
             if ephemeral:
                 session.close()

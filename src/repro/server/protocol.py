@@ -18,7 +18,6 @@ exception                             status  notes
 ``NotFoundError``                     404     unknown session / cursor / statement
 ``ServiceOverloadedError``            429     + ``Retry-After`` header (EWMA hint)
 ``CancelledError``                    499     client went away / server cancelled
-``WorkerFailure``                     503     uncontained infrastructure fault
 ``ExecutionTimeout``                  504     deadline exceeded
 ``GOptError`` (any other subclass)    400     query-side error by definition
 anything else                         500     a server bug, never a query error
@@ -40,7 +39,6 @@ from repro.errors import (
     PlanningError,
     ServiceOverloadedError,
     TypeInferenceError,
-    WorkerFailure,
 )
 from repro.server.wire import ErrorWire
 
@@ -54,7 +52,6 @@ _STATUS_TABLE: Tuple[Tuple[Type[BaseException], int], ...] = (
     (NotFoundError, 404),
     (CancelledError, STATUS_CLIENT_CLOSED),
     (ExecutionTimeout, 504),
-    (WorkerFailure, 503),
     (ParseError, 400),
     (GirBuildError, 400),
     (TypeInferenceError, 400),
@@ -115,7 +112,6 @@ def exception_from_wire(error: ErrorWire,
         "NotFoundError": NotFoundError,
         "CancelledError": CancelledError,
         "ExecutionTimeout": ExecutionTimeout,
-        "WorkerFailure": WorkerFailure,
     }
     exc_type = by_name.get(error.type)
     if exc_type is not None:
@@ -126,6 +122,4 @@ def exception_from_wire(error: ErrorWire,
         return ExecutionTimeout(message)
     if error.status == STATUS_CLIENT_CLOSED:
         return CancelledError(message)
-    if error.status == 503:
-        return WorkerFailure(message)
     return GOptError(message)

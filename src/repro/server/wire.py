@@ -39,8 +39,6 @@ class QueryResultWire:
     metrics: Optional[Dict[str, Any]] = None
     #: bounded-memory observability of the streaming engines
     peak_held_rows: Optional[int] = None
-    #: True when rows came from the row-engine degradation path
-    degraded: bool = False
 
     @property
     def is_empty(self) -> bool:
@@ -64,7 +62,6 @@ class QueryResultWire:
             "warning": self.warning,
             "metrics": self.metrics,
             "peak_held_rows": self.peak_held_rows,
-            "degraded": self.degraded,
         }
 
     @classmethod
@@ -79,7 +76,6 @@ class QueryResultWire:
             warning=payload.get("warning"),
             metrics=payload.get("metrics"),
             peak_held_rows=payload.get("peak_held_rows"),
-            degraded=bool(payload.get("degraded", False)),
         )
 
     @classmethod
@@ -104,7 +100,6 @@ class QueryResultWire:
             warning=warning,
             metrics=None if metrics is None else metrics.as_dict(),
             peak_held_rows=peak_held_rows,
-            degraded=bool(metrics is not None and metrics.degraded),
         )
 
 

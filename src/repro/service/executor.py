@@ -56,11 +56,6 @@ class QueryOutcome:
         """Whether the request was refused or expired by admission control."""
         return self.retry_after_seconds is not None
 
-    @property
-    def degraded(self) -> bool:
-        """Whether the rows came from the row-engine degradation path."""
-        return bool(self.metrics is not None and self.metrics.degraded)
-
 
 class ConcurrentExecutor:
     """Serve many queries concurrently through one shared :class:`GraphService`.
@@ -82,10 +77,10 @@ class ConcurrentExecutor:
     before a worker picks them up are dropped unexecuted.  With none of
     these set, submission is unbounded (the legacy behavior).
 
-    Nothing is retried: a dataflow infrastructure fault has already been
-    contained by the backend's row-engine re-execution (``degraded``), and
-    query errors (bad syntax, timeouts, cancellation) would fail
-    identically.
+    Nothing is retried, under any engine: an exception inside one query --
+    a query error (bad syntax, cancellation) or an infrastructure fault --
+    becomes that query's ``error`` (``"<type name>: <message>"``), and the
+    pool goes on serving the next one.
 
     Every in-flight query carries a cancellation token;
     ``shutdown(cancel=True)`` cancels them all, so draining the pool waits

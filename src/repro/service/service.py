@@ -143,16 +143,16 @@ class GraphService:
         if self._plan_cache is not None:
             self._plan_cache.clear()
 
-    def _environment_token(self, engine: Optional[str] = None) -> Tuple:
+    def _environment_token(self) -> Tuple:
         """Fingerprint of everything a cached plan depends on besides the query.
 
-        If the data graph grows/shrinks, the effective engine differs, or the
-        optimizer is reconfigured, the token changes and stale entries are
-        bypassed (they age out of the LRU naturally).
+        If the data graph grows/shrinks or the optimizer is reconfigured, the
+        token changes and stale entries are bypassed (they age out of the
+        LRU naturally).  The execution engine is not part of it: the
+        optimizer never sees the engine, so every engine runs the same plan.
         """
         return (
             self.backend.name,
-            engine or self.backend.options.engine,
             self.graph.num_vertices,
             self.graph.num_edges,
             repr(self.optimizer.config),
@@ -212,7 +212,9 @@ class GraphService:
         parameter signature -- names, types **and values** -- because the
         inlined values are baked into the plan.  Prepared statements use
         :meth:`optimize_deferred` instead, which shares one plan across
-        values.  Logical-plan inputs always optimize fresh.
+        values.  Logical-plan inputs always optimize fresh.  ``engine`` is
+        accepted and ignored: a plan does not depend on the engine that
+        runs it.
         """
         if isinstance(query, LogicalPlan):
             return self.optimizer.optimize(query)
@@ -223,7 +225,7 @@ class GraphService:
             normalize_query_text(query),
             language,
             parameter_signature(parameters),
-            self._environment_token(engine),
+            self._environment_token(),
         )
         report = self._plan_cache.get(key)
         if report is None:
@@ -237,7 +239,6 @@ class GraphService:
         normalized_query: str,
         language: str,
         parameters: Optional[Dict[str, object]],
-        engine: Optional[str] = None,
         local_cache: Optional[Dict[Tuple, OptimizationReport]] = None,
     ) -> OptimizationReport:
         """Optimize a deferred-parameter plan, cached on parameter *types* only.
@@ -254,7 +255,7 @@ class GraphService:
             normalized_query,
             language,
             parameter_type_signature(parameters),
-            self._environment_token(engine),
+            self._environment_token(),
         )
         if self._plan_cache is not None:
             report = self._plan_cache.get(key)

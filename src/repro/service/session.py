@@ -100,7 +100,7 @@ class Session:
         if parameters:
             return self.prepare(query, language).run(
                 parameters, cancel_token=cancel_token)
-        report = self._service.optimize(query, language, None, engine=self.engine)
+        report = self._service.optimize(query, language)
         return self._execute_report(report, None, cancel_token)
 
     def explain(
@@ -115,7 +115,7 @@ class Session:
             return self._service.optimizer.optimize(query).explain()
         if parameters:
             return self.prepare(query, language).explain(parameters)
-        return self._service.optimize(query, language, None, engine=self.engine).explain()
+        return self._service.optimize(query, language).explain()
 
     def _execute_report(
         self,
@@ -180,9 +180,8 @@ class PreparedQuery:
                     % (", ".join("$" + name for name in sorted(missing)),))
             return self._service.optimize_deferred(
                 self._logical_plan, self._normalized, self.language, relevant,
-                engine=self._session.engine, local_cache=self._local_cache)
-        return self._service.optimize(self.query, self.language, parameters,
-                                      engine=self._session.engine)
+                local_cache=self._local_cache)
+        return self._service.optimize(self.query, self.language, parameters)
 
     def run(
         self,

@@ -1,6 +1,6 @@
 """Deterministic fault injection for the execution runtime.
 
-The runtime declares *injection points* at its kernel and exchange
+The runtime declares *injection points* at its kernel, executor and server
 boundaries by calling :func:`fault_point` -- a near-zero-cost no-op (one
 module-global read and a ``None`` check) unless a :class:`FaultInjector` is
 active.  Tests activate an injector with a seeded, deterministic plan of
@@ -8,9 +8,9 @@ active.  Tests activate an injector with a seeded, deterministic plan of
 optional info subset) and fires one of three actions:
 
 * ``"raise"`` -- raise :class:`InjectedFault` (an *infrastructure* fault:
-  deliberately **not** a ``GOptError``, so the dataflow executor wraps it in
-  :class:`~repro.errors.WorkerFailure` and the backend may degrade to the
-  row engine);
+  deliberately **not** a ``GOptError``, so it reaches the caller the way any
+  unexpected exception does -- a per-query error in the concurrent
+  executor, a 500 over HTTP -- under every engine);
 * ``"sleep"`` -- stall the calling thread for ``seconds`` (slow operator /
   slow network, for deadline tests);
 * ``"call"`` -- invoke an arbitrary ``callback(site, info)`` (used to force
@@ -25,14 +25,10 @@ chaos suite's survival assertions need.
 Registered injection sites (see the runtime modules):
 
 ==========================  ====================================================
-``worker.kernel``           a dataflow step about to run one kernel on one
-                            partition's morsel (info: ``op``, ``stage``,
-                            ``partition``)
-``exchange.route``          a partition routing produced rows into an exchange
-                            (info: ``stage``, ``partition``, ``priced``)
-``driver.gather``           the driver gathering a segment's output
-``stream.kernel``           a streaming interpreter dispatching one operator
-                            (info: ``op``)
+``stream.kernel``           an engine about to run one operator's kernel: once
+                            per operator in the ``row`` and ``vectorized``
+                            pipelines, once per step and morsel in a
+                            ``dataflow`` segment (info: ``op``)
 ``service.execute``         the concurrent executor about to run one query
                             (info: ``client``)
 ``server.request``          the HTTP front end about to serve an admitted
@@ -56,10 +52,10 @@ import random
 class InjectedFault(RuntimeError):
     """A deliberately injected infrastructure fault.
 
-    Subclasses ``RuntimeError`` (not ``GOptError``) on purpose: the runtime
-    must treat it exactly like any unexpected infrastructure failure --
-    contain it, discard partial results, and either surface a typed
-    :class:`~repro.errors.WorkerFailure` or degrade to the row engine.
+    Subclasses ``RuntimeError`` (not ``GOptError``) on purpose: every
+    engine must treat it exactly like any unexpected infrastructure failure
+    -- stop the execution and let the exception reach the caller, which
+    isolates it per query (``QueryOutcome.error``, an HTTP 500).
     """
 
     def __init__(self, site: str, detail: str = ""):
@@ -74,7 +70,7 @@ class FaultRule:
 
     Args:
         site: glob pattern matched against the injection-point name
-            (``"worker.kernel"``, ``"exchange.*"``, ...).
+            (``"stream.kernel"``, ``"server.*"``, ...).
         action: ``"raise"``, ``"sleep"`` or ``"call"``.
         rate: probability in [0, 1] that a matching visit fires, drawn from
             the injector's seeded RNG.  Mutually composable with
@@ -82,7 +78,7 @@ class FaultRule:
         at_hits: exact visit ordinals (1-based, counted per rule across all
             threads) that fire; every other visit passes through.
         match: info subset that must match for the rule to apply, e.g.
-            ``{"stage": 1}`` targets one exchange boundary.
+            ``{"op": "ExpandEdge"}`` targets one operator type.
         seconds: sleep duration for ``"sleep"``.
         callback: ``callback(site, info)`` for ``"call"``.
         max_fires: stop firing after this many activations (``None`` =
@@ -138,7 +134,7 @@ class FaultInjector:
 
     Example::
 
-        rules = [FaultRule("worker.kernel", action="raise", rate=0.05)]
+        rules = [FaultRule("stream.kernel", action="sleep", rate=0.05)]
         with FaultInjector(seed=23, rules=rules) as injector:
             result = backend.execute(plan, engine="dataflow")
         assert injector.fired  # at least one fault actually landed

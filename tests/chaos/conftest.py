@@ -24,7 +24,7 @@ def chaos_seed():
 
 @pytest.fixture(scope="module")
 def gopt(ldbc_graph):
-    """Optimizer + partitioned backend (dataflow faults degrade to the row engine)."""
+    """Optimizer + partitioned backend shared by the chaos tests."""
     return GraphService(ldbc_graph, backend="graphscope", num_partitions=4,
                         max_intermediate_results=500_000, timeout_seconds=30.0,
                         plan_cache_size=None)

@@ -39,7 +39,7 @@ class TestCancellationPromptness:
                                          engine="dataflow", batch_size=batch)
         total = reference.metrics.intermediate_results
         token = CancellationToken()
-        rules = [FaultRule("worker.kernel", action="call", at_hits=[1],
+        rules = [FaultRule("stream.kernel", action="call", at_hits=[1],
                            callback=lambda site, info: token.cancel("chaos"))]
         ctx = gopt.backend._make_context(
             gopt.backend.options.override(batch_size=batch),
@@ -141,7 +141,7 @@ class TestExecutorShutdown:
                                       engine="dataflow")
         # every kernel visit sleeps: uncancelled, the queries would run for
         # minutes; cancelled, each query stops at its next checkpoint
-        rules = [FaultRule("worker.kernel", action="sleep",
+        rules = [FaultRule("stream.kernel", action="sleep",
                            seconds=0.02, rate=1.0)]
         with FaultInjector(seed=chaos_seed, rules=rules):
             futures = [executor.submit(THREE_HOP) for _ in range(2)]

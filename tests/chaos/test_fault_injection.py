@@ -1,19 +1,20 @@
-"""Fault containment under deterministic injection.
+"""One failure policy under deterministic injection, for every engine.
 
-Acceptance: every injected infrastructure fault must yield either a typed
-error (:class:`~repro.errors.WorkerFailure` with the failing partition's id
-and partial exchange stats) or a *correct degraded result* (row-engine
-re-execution producing the exact unfaulted rows, flagged in
-``metrics.degraded``) -- never a hang, a partial result set, or an untyped
-crash.  The thread-leak fixture in tests/conftest.py additionally holds
-every one of these tests to zero leaked runtime threads.
+Acceptance: an injected infrastructure fault (an ``InjectedFault`` -- not a
+``GOptError``) fails the query that hit it the same way under every engine:
+``Backend.execute`` raises it, the concurrent executor reports it as that
+query's error and keeps serving, and the HTTP front end answers 500 -- never
+a hang, a partial result set, or a silently re-executed query.  The
+thread-leak fixture in tests/conftest.py additionally holds every one of
+these tests to zero leaked runtime threads.
 """
+
+import json
 
 import pytest
 
-from repro import GraphService
-from repro.backend.runtime.dataflow import DataflowExecutor
-from repro.errors import WorkerFailure
+from repro import GraphService, available_engines
+from repro.server.app import ServerApp
 from repro.service import ConcurrentExecutor
 from repro.testing import FaultInjector, FaultRule, InjectedFault
 
@@ -30,135 +31,67 @@ def two_hop(gopt):
     return report.physical_plan, reference
 
 
-def run_executor(gopt, plan):
-    """One dataflow execution without the backend's row-engine recovery."""
-    ctx = gopt.backend._make_context(gopt.backend.options)
-    return DataflowExecutor(ctx).run(plan.root)
+def first_kernel_fault():
+    return [FaultRule("stream.kernel", action="raise", at_hits=[1])]
 
 
-class TestWorkerFaultContainment:
-    def test_worker_fault_degrades_to_identical_rows(self, gopt, two_hop,
-                                                     chaos_seed):
-        plan, reference = two_hop
-        rules = [FaultRule("worker.kernel", action="raise", at_hits=[1])]
-        with FaultInjector(seed=chaos_seed, rules=rules) as injector:
-            result = gopt.backend.execute(plan, engine="dataflow")
-        assert injector.fired == 1
-        assert result.rows == reference.rows
-        assert result.metrics.degraded
-        assert "InjectedFault" in result.metrics.degraded_reason
-        assert "degraded" in result.metrics.as_dict()
-
-    def test_random_worker_faults_never_corrupt_rows(self, gopt, two_hop,
-                                                     chaos_seed):
-        """Seeded random injection: rows are exact whether or not it fired."""
-        plan, reference = two_hop
-        rules = [FaultRule("worker.kernel", action="raise", rate=0.02)]
-        with FaultInjector(seed=chaos_seed, rules=rules) as injector:
-            result = gopt.backend.execute(plan, engine="dataflow")
-        assert result.rows == reference.rows
-        assert result.metrics.degraded == (injector.fired > 0)
-
-    def test_fault_surfaces_typed_failure_without_fallback(
-            self, gopt, two_hop, chaos_seed):
+class TestOneFailurePolicy:
+    @pytest.mark.parametrize("engine", available_engines())
+    def test_kernel_fault_fails_the_query_alike_on_every_engine(
+            self, gopt, two_hop, ldbc_graph, chaos_seed, engine):
         plan, _ = two_hop
-        rules = [FaultRule("worker.kernel", action="raise", at_hits=[1])]
-        with FaultInjector(seed=chaos_seed, rules=rules):
-            with pytest.raises(WorkerFailure) as excinfo:
-                run_executor(gopt, plan)
-        failure = excinfo.value
-        assert failure.worker_id >= 0   # the partition whose step failed
-        assert isinstance(failure.cause, InjectedFault)
-        # partial exchange traffic observed before the crash stays visible
-        assert isinstance(failure.exchange_stats, dict)
-
-    def test_driver_fault_is_contained_too(self, gopt, two_hop, chaos_seed):
-        plan, reference = two_hop
-        rules = [FaultRule("driver.gather", action="raise", at_hits=[1])]
-        with FaultInjector(seed=chaos_seed, rules=rules):
-            with pytest.raises(WorkerFailure) as excinfo:
-                run_executor(gopt, plan)
-        assert excinfo.value.worker_id == -1  # the driver, not a partition
-        assert isinstance(excinfo.value.cause, InjectedFault)
-        assert isinstance(excinfo.value.exchange_stats, dict)
-        # through the backend, the same fault degrades to correct rows
-        rules = [FaultRule("driver.gather", action="raise", at_hits=[1])]
-        with FaultInjector(seed=chaos_seed, rules=rules) as injector:
-            result = gopt.backend.execute(plan, engine="dataflow")
+        with FaultInjector(seed=chaos_seed, rules=first_kernel_fault()) as injector:
+            with pytest.raises(InjectedFault):
+                gopt.backend.execute(plan, engine=engine)
         assert injector.fired == 1
-        assert result.rows == reference.rows
-        assert result.metrics.degraded
 
+        service = GraphService(ldbc_graph, backend="graphscope",
+                               num_partitions=4, plan_cache_size=None)
+        with ConcurrentExecutor(service, max_workers=2, engine=engine) as ex:
+            with FaultInjector(seed=chaos_seed, rules=first_kernel_fault()):
+                faulted = ex.submit(TWO_HOP).result()
+            healthy = ex.submit(TWO_HOP).result()
+        assert not faulted.ok
+        assert faulted.error.startswith("InjectedFault")
+        assert healthy.ok and healthy.rows
 
-class TestEveryExchangeBoundary:
-    def test_degraded_rows_identical_for_fault_at_each_stage(
-            self, gopt, two_hop, chaos_seed):
-        """Inject a route fault at every exchange stage the plan crosses.
+        app = ServerApp(service)
+        try:
+            body = json.dumps({"query": TWO_HOP, "engine": engine}).encode()
+            with FaultInjector(seed=chaos_seed, rules=first_kernel_fault()):
+                response = app.handle_request("POST", "/v1/queries", {}, {}, body)
+        finally:
+            app.shutdown()
+        assert response.status == 500
+        assert json.loads(response.body)["error"]["type"] == "InjectedFault"
 
-        The degraded (row-engine) result must equal the unfaulted dataflow
-        run bit-for-bit, whichever boundary the fault lands on.
-        """
+    @pytest.mark.parametrize("engine", available_engines())
+    def test_a_fault_at_any_kernel_visit_fails_the_query(
+            self, gopt, two_hop, chaos_seed, engine):
+        """First, middle or last kernel visit: the run raises, never
+        returning the rows produced before the fault."""
         plan, _ = two_hop
-        unfaulted = gopt.backend.execute(plan, engine="dataflow")
-        assert not unfaulted.metrics.degraded
-        stages = []
-        probe = FaultRule("exchange.route", action="call", rate=1.0,
-                          callback=lambda site, info: stages.append(info["stage"]))
-        with FaultInjector(seed=chaos_seed, rules=[probe]):
-            gopt.backend.execute(plan, engine="dataflow")
-        assert stages, "plan crossed no exchange boundary; test is vacuous"
-        for stage in sorted(set(stages)):
-            rules = [FaultRule("exchange.route", action="raise", at_hits=[1],
-                               match={"stage": stage})]
+        visits = FaultRule("stream.kernel", action="call", rate=1.0,
+                           callback=lambda site, info: None)
+        with FaultInjector(seed=chaos_seed, rules=[visits]):
+            gopt.backend.execute(plan, engine=engine)
+        assert visits.fires > 1
+        for hit in sorted({1, visits.fires // 2, visits.fires}):
+            rules = [FaultRule("stream.kernel", action="raise", at_hits=[hit])]
             with FaultInjector(seed=chaos_seed, rules=rules) as injector:
-                result = gopt.backend.execute(plan, engine="dataflow")
-            assert injector.fired == 1, stage
-            assert result.rows == unfaulted.rows, stage
-            assert result.metrics.degraded, stage
+                with pytest.raises(InjectedFault):
+                    gopt.backend.execute(plan, engine=engine)
+            assert injector.fired == 1, hit
 
 
 class TestSlowOperators:
     def test_slow_kernels_hit_the_deadline(self, gopt, two_hop, chaos_seed):
         """A sleep-injected slow operator trips the time budget, not a hang."""
         plan, _ = two_hop
-        rules = [FaultRule("worker.kernel", action="sleep",
+        rules = [FaultRule("stream.kernel", action="sleep",
                            seconds=0.05, rate=1.0)]
         with FaultInjector(seed=chaos_seed, rules=rules):
             result = gopt.backend.execute(plan, engine="dataflow",
                                           timeout_seconds=0.1)
         assert result.timed_out
-        assert not result.metrics.degraded  # timeouts are query errors
 
-
-class TestServingIsolation:
-    def test_streaming_fault_is_isolated_per_query(self, ldbc_graph,
-                                                   chaos_seed):
-        """A fault in one served query never takes the pool down."""
-        service = GraphService(ldbc_graph, backend="graphscope",
-                               num_partitions=4, plan_cache_size=None)
-        rules = [FaultRule("stream.kernel", action="raise", at_hits=[1])]
-        with ConcurrentExecutor(service, max_workers=2, engine="row") as ex:
-            with FaultInjector(seed=chaos_seed, rules=rules):
-                faulted = ex.submit(TWO_HOP).result()
-            healthy = ex.submit(TWO_HOP).result()
-        assert not faulted.ok
-        assert "InjectedFault" in faulted.error
-        assert healthy.ok and healthy.rows
-
-    def test_transient_fault_degrades_to_success(self, ldbc_graph, two_hop,
-                                                 chaos_seed):
-        """A fail-once worker fault in a served query: the one recovery path
-        (row-engine re-execution) answers it, with nothing retried."""
-        _, reference = two_hop
-        service = GraphService(ldbc_graph, backend="graphscope",
-                               num_partitions=4, plan_cache_size=None)
-        rules = [FaultRule("worker.kernel", action="raise",
-                           at_hits=[1], max_fires=1)]
-        with ConcurrentExecutor(service, max_workers=2,
-                                engine="dataflow") as ex:
-            with FaultInjector(seed=chaos_seed, rules=rules) as injector:
-                outcome = ex.submit(TWO_HOP).result()
-        assert injector.fired == 1
-        assert outcome.ok, outcome.error
-        assert outcome.degraded
-        assert outcome.rows == reference.rows

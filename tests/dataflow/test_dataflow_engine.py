@@ -54,8 +54,9 @@ class TestDeterminism:
 
         One plan runs on backends that partition the graph differently.
         The partition count changes where rows live and so which rows cross
-        an exchange, but never the result or the simulated-vs-observed
-        ``tuples_shuffled`` reconciliation.  One partition (no partitioner)
+        an exchange, but never the result or the reconciliation of the
+        observed ``shuffled`` exchange count with the simulated
+        ``tuples_shuffled``.  One partition (no partitioner)
         observes no communication at all.
         """
         plan = ldbc_gopt.optimize(TWO_HOP).physical_plan
@@ -111,10 +112,11 @@ class TestExchangeParity:
                                           query_name, ldbc_gopt):
         """``tuples_shuffled`` equals the row engine's simulation exactly.
 
-        For the dataflow engine the expand/intersect/path components of the
-        counter are measured at real exchanges (rows that physically crossed
-        partitions), so equality here means the cost model's communication
-        estimate is a checked prediction, not an assumption.
+        Both engines charge the counter through the shared kernels; the
+        dataflow exchanges count independently the rows that physically
+        crossed partitions.  That observed count never exceeds the
+        simulated one and is pinned per query, so the cost model's
+        communication estimate is a checked prediction, not an assumption.
         """
         queries = {q.name: q for q in list(ic_queries()) + list(qc_queries())}
         backend = ldbc_gopt.backend

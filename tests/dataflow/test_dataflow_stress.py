@@ -43,7 +43,7 @@ class TestEarlyClose:
 
             # the first kernel visit parks the fetching thread until the
             # close has landed, so the close always finds it in flight
-            rules = [FaultRule("worker.kernel", action="call", at_hits=[1],
+            rules = [FaultRule("stream.kernel", action="call", at_hits=[1],
                                callback=hold_until_closed)]
             with FaultInjector(seed=11, rules=rules), \
                     service.session(engine="dataflow") as session:

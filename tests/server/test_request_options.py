@@ -34,6 +34,21 @@ def open_session(app, **options):
     return body["session_id"]
 
 
+@pytest.mark.parametrize("options,engine", [
+    ({}, "row"),
+    ({"engine": "dataflow"}, "dataflow"),
+    ({"batch_size": 7}, "row"),
+], ids=["defaults", "engine", "other-option"])
+def test_created_session_reports_the_engine_it_runs(app, options, engine):
+    """``SessionWire.engine`` is the session's effective engine, also when
+    the request named none (it used to echo the request and read ``None``)."""
+    status, body = post(app, "/v1/sessions", options)
+    assert status == 201
+    assert body["engine"] == engine
+    entry = app.registry.get_session(body["session_id"], body["tenant"])
+    assert entry.session.engine == engine
+
+
 def test_deadline_header_keeps_the_sessions_engine_and_batch_size(
         app, monkeypatch):
     executed = []

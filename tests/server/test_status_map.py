@@ -13,7 +13,6 @@ from repro.errors import (
     PlanningError,
     ServiceOverloadedError,
     TypeInferenceError,
-    WorkerFailure,
 )
 from repro.server.protocol import (
     error_to_wire,
@@ -32,7 +31,6 @@ STATUS_TABLE = [
     (NotFoundError("no such cursor"), 404),
     (ServiceOverloadedError("queue full", retry_after_seconds=0.4), 429),
     (CancelledError("client went away"), 499),
-    (WorkerFailure("worker 3 died", worker_id=3), 503),
     (ExecutionTimeout("deadline exceeded"), 504),
     (RuntimeError("a server bug"), 500),
     (KeyError("another server bug"), 500),
@@ -58,7 +56,6 @@ REBUILD_TABLE = [
     (NotFoundError("no such cursor"), NotFoundError),
     (ServiceOverloadedError("queue full"), ServiceOverloadedError),
     (CancelledError("client went away"), CancelledError),
-    (WorkerFailure("worker 3 died", worker_id=3), WorkerFailure),
     (ExecutionTimeout("deadline exceeded"), ExecutionTimeout),
     # types outside the protocol table collapse to the GOptError base
     (GraphError("bad graph access"), GOptError),

@@ -37,8 +37,7 @@ def test_query_result_roundtrip():
     model = QueryResultWire(
         query="MATCH (p) RETURN p.name AS n", rows=[{"n": "ann"}, {"n": "bob"}],
         row_count=2, columns=["n"], execution_time_ms=1.5, truncated=True,
-        warning="truncated", metrics=METRICS.as_dict(), peak_held_rows=7,
-        degraded=False)
+        warning="truncated", metrics=METRICS.as_dict(), peak_held_rows=7)
     assert roundtrip(model) == model
 
 

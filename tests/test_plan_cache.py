@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro import GraphService
+from repro import GraphService, available_engines
 from repro.optimizer.planner import OptimizerConfig
 from repro.plan_cache import (
     PlanCache,
@@ -237,12 +237,19 @@ class TestEnvironmentBypass:
         assert after == before + 1          # fresh plan, fresh environment key
         assert service.cache_info().hits == 1  # no stale hit
 
-    def test_engine_flip_bypasses(self, service):
+    def test_engine_flip_hits(self, service):
+        """The optimizer never sees the engine: every engine shares one plan."""
         query = "MATCH (p:Person) RETURN count(p) AS c"
-        service.optimize(query)
-        service.optimize(query, engine="vectorized")
+        template = "MATCH (p:Person) WHERE p.id = $x RETURN p.name AS n"
+        results = []
+        for engine in available_engines():
+            with service.session(engine=engine) as session:
+                results.append((session.run(query).fetch_all(),
+                                session.run(template, parameters={"x": 1}).fetch_all()))
         info = service.cache_info()
-        assert (info.hits, info.misses) == (0, 2)
+        assert (info.hits, info.misses) == (
+            2 * (len(available_engines()) - 1), 2)
+        assert all(result == results[0] for result in results)
 
     def test_config_change_bypasses(self, social_graph):
         service = GraphService(social_graph, backend="neo4j")

@@ -8,10 +8,12 @@ import pytest
 
 import repro
 from repro import GraphService, ResultCursor
-from repro.backend import ExecutionOptions, ExecutionResult, Neo4jLikeBackend
+from repro.backend import (
+    ExecutionMetrics, ExecutionOptions, ExecutionResult, Neo4jLikeBackend)
 from repro.backend.runtime.context import ExecutionContext, WorkCounters
 from repro.client import GraphClient
-from repro.service import ConcurrentExecutor, Session
+from repro.server.wire import QueryResultWire
+from repro.service import ConcurrentExecutor, QueryOutcome, Session
 
 QUERY = "MATCH (p:Person) RETURN p.name AS name"
 
@@ -26,6 +28,7 @@ def test_every_exported_name_resolves(module_name):
 
 def test_removed_names_are_gone(social_graph):
     import repro.backend
+    import repro.errors
     import repro.backend.runtime.dataflow as dataflow
 
     assert not hasattr(repro, "GOpt")
@@ -38,9 +41,21 @@ def test_removed_names_are_gone(social_graph):
     for alias in ("for_graph", "executor"):
         assert not hasattr(GraphService, alias), alias
     for name in ("BROADCAST_THRESHOLD", "DataflowRowStream",
-                 "open_dataflow_stream", "Morsel", "morselize"):
+                 "open_dataflow_stream", "Morsel", "morselize",
+                 "recover_on_row_engine"):
         assert not hasattr(dataflow, name), name
-    # one fault-recovery path: no opt-out of it, no retry loop on top
+    # one failure policy for every engine: no row-engine fallback, no
+    # degraded results, no opt-out knob, no retry loop on top
+    assert not hasattr(repro.errors, "WorkerFailure")
+    assert not hasattr(dataflow.DataflowExecutor, "_wrap_failure")
+    for owner in (ExecutionMetrics, QueryOutcome, QueryResultWire):
+        assert not hasattr(owner, "degraded"), owner
+    assert not hasattr(ExecutionMetrics, "degraded_reason")
+    ctx = ExecutionContext(social_graph)
+    for name in ("degraded", "simulate_shuffles"):
+        assert not hasattr(ctx, name), name
+    assert "engine" not in inspect.signature(
+        GraphService.optimize_deferred).parameters
     with pytest.raises(TypeError):
         Neo4jLikeBackend(social_graph, fallback_on_fault=False)
     service = GraphService(social_graph, backend="neo4j")
