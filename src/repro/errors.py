@@ -85,6 +85,16 @@ class NotFoundError(GOptError):
     """
 
 
+class ServerError(GOptError):
+    """The server failed for a reason that is not the query's (HTTP 500).
+
+    Raised by :class:`repro.client.GraphClient` when the server answers a
+    request with 500: a server bug or an infrastructure fault, which the
+    server side sees as any exception that is not a ``GOptError``.  The
+    same query may succeed on a retry; a query error would not.
+    """
+
+
 class ServiceOverloadedError(GOptError):
     """Fast rejection: the serving layer is saturated; retry later.
 

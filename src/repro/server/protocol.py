@@ -19,6 +19,7 @@ exception                             status  notes
 ``ServiceOverloadedError``            429     + ``Retry-After`` header (EWMA hint)
 ``CancelledError``                    499     client went away / server cancelled
 ``ExecutionTimeout``                  504     deadline exceeded
+``ServerError``                       500     rebuilt by the client for any 500
 ``GOptError`` (any other subclass)    400     query-side error by definition
 anything else                         500     a server bug, never a query error
 ====================================  ======  =====================================
@@ -37,6 +38,7 @@ from repro.errors import (
     NotFoundError,
     ParseError,
     PlanningError,
+    ServerError,
     ServiceOverloadedError,
     TypeInferenceError,
 )
@@ -56,6 +58,7 @@ _STATUS_TABLE: Tuple[Tuple[Type[BaseException], int], ...] = (
     (GirBuildError, 400),
     (TypeInferenceError, 400),
     (PlanningError, 400),
+    (ServerError, 500),
     (GOptError, 400),
 )
 
@@ -122,4 +125,6 @@ def exception_from_wire(error: ErrorWire,
         return ExecutionTimeout(message)
     if error.status == STATUS_CLIENT_CLOSED:
         return CancelledError(message)
+    if error.status == 500:
+        return ServerError(message)
     return GOptError(message)

@@ -3,10 +3,11 @@
 Acceptance: an injected infrastructure fault (an ``InjectedFault`` -- not a
 ``GOptError``) fails the query that hit it the same way under every engine:
 ``Backend.execute`` raises it, the concurrent executor reports it as that
-query's error and keeps serving, and the HTTP front end answers 500 -- never
-a hang, a partial result set, or a silently re-executed query.  The
-thread-leak fixture in tests/conftest.py additionally holds every one of
-these tests to zero leaked runtime threads.
+query's error and keeps serving, and the HTTP front end answers 500, which
+a client rebuilds as ``ServerError`` -- never a hang, a partial result set,
+or a silently re-executed query.  The thread-leak fixture in
+tests/conftest.py additionally holds every one of these tests to zero leaked
+runtime threads.
 """
 
 import json
@@ -14,7 +15,10 @@ import json
 import pytest
 
 from repro import GraphService, available_engines
+from repro.errors import ServerError
 from repro.server.app import ServerApp
+from repro.server.protocol import exception_from_wire
+from repro.server.wire import ErrorWire
 from repro.service import ConcurrentExecutor
 from repro.testing import FaultInjector, FaultRule, InjectedFault
 
@@ -63,7 +67,10 @@ class TestOneFailurePolicy:
         finally:
             app.shutdown()
         assert response.status == 500
-        assert json.loads(response.body)["error"]["type"] == "InjectedFault"
+        error = ErrorWire.from_dict(json.loads(response.body))
+        assert error.type == "InjectedFault"
+        # a remote client tells the server fault from a query error by type
+        assert isinstance(exception_from_wire(error), ServerError)
 
     @pytest.mark.parametrize("engine", available_engines())
     def test_a_fault_at_any_kernel_visit_fails_the_query(

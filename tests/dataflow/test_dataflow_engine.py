@@ -15,6 +15,7 @@ import pytest
 
 from repro import GraphService
 from repro.backend import GraphScopeLikeBackend
+from repro.backend.runtime.context import ExecutionContext
 from repro.backend.runtime.dataflow import (
     build_pipelines,
     extract_segment,
@@ -109,14 +110,17 @@ class TestExchangeParity:
                              [q.name for q in ic_queries()] +
                              [q.name for q in qc_queries()])
     def test_total_shuffle_parity_on_ldbc(self, ldbc_graph, ldbc_glogue,
-                                          query_name, ldbc_gopt):
-        """``tuples_shuffled`` equals the row engine's simulation exactly.
+                                          query_name, ldbc_gopt, monkeypatch):
+        """Observed exchange traffic reconciles exactly with the simulation.
 
-        Both engines charge the counter through the shared kernels; the
-        dataflow exchanges count independently the rows that physically
-        crossed partitions.  That observed count never exceeds the
-        simulated one and is pinned per query, so the cost model's
-        communication estimate is a checked prediction, not an assumption.
+        The row engine's ``tuples_shuffled`` is the cost model's simulated
+        communication: the kernels' per-row ``charge_shuffle_between`` plus
+        the driver-side joins' and aggregations' ``charge_shuffle``.  The
+        dataflow exchanges count on their own the rows that physically
+        crossed partitions inside segments.  That observed count plus the
+        driver-side charges must equal the simulation exactly, so the cost
+        model's communication estimate is a checked prediction, not an
+        assumption.  The observed traffic is also pinned per query.
         """
         queries = {q.name: q for q in list(ic_queries()) + list(qc_queries())}
         backend = ldbc_gopt.backend
@@ -124,15 +128,24 @@ class TestExchangeParity:
                                     glogue=ldbc_glogue)
         report = optimizer.optimize(queries[query_name].logical_plan())
         row = backend.execute(report.physical_plan, engine="row")
+        driver_charges = []
+        charge_shuffle = ExecutionContext.charge_shuffle
+
+        def recording_charge_shuffle(ctx, rows):
+            if ctx.partitioner is not None:
+                driver_charges.append(rows)
+            charge_shuffle(ctx, rows)
+
+        monkeypatch.setattr(ExecutionContext, "charge_shuffle",
+                            recording_charge_shuffle)
         dataflow = backend.execute(report.physical_plan, engine="dataflow")
+        monkeypatch.undo()
         if row.timed_out or dataflow.timed_out:
             pytest.skip("query overruns the reduced test budget")
-        assert dataflow.metrics.tuples_shuffled == row.metrics.tuples_shuffled
-        assert dataflow.exchange_stats is not None
-        # exchanges never observe more than the simulation charges; the
-        # difference is exactly the driver-side join/aggregation shipping
-        assert dataflow.exchange_stats["shuffled"] <= row.metrics.tuples_shuffled
         stats = dataflow.exchange_stats
+        assert stats["shuffled"] + sum(driver_charges) == \
+            row.metrics.tuples_shuffled
+        assert dataflow.metrics.tuples_shuffled == row.metrics.tuples_shuffled
         assert (stats["shuffled"], stats["local"], stats["relocated"],
                 stats["gathered"]) == PINNED_EXCHANGE_STATS[query_name]
 

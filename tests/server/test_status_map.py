@@ -11,6 +11,7 @@ from repro.errors import (
     NotFoundError,
     ParseError,
     PlanningError,
+    ServerError,
     ServiceOverloadedError,
     TypeInferenceError,
 )
@@ -32,6 +33,7 @@ STATUS_TABLE = [
     (ServiceOverloadedError("queue full", retry_after_seconds=0.4), 429),
     (CancelledError("client went away"), 499),
     (ExecutionTimeout("deadline exceeded"), 504),
+    (ServerError("server failed"), 500),
     (RuntimeError("a server bug"), 500),
     (KeyError("another server bug"), 500),
 ]
@@ -57,10 +59,13 @@ REBUILD_TABLE = [
     (ServiceOverloadedError("queue full"), ServiceOverloadedError),
     (CancelledError("client went away"), CancelledError),
     (ExecutionTimeout("deadline exceeded"), ExecutionTimeout),
-    # types outside the protocol table collapse to the GOptError base
+    # every 500 -- a server bug or infrastructure fault -- is a ServerError
+    (ServerError("server failed"), ServerError),
+    (RuntimeError("a server bug"), ServerError),
+    (KeyError("another server bug"), ServerError),
+    # query-side types outside the protocol table collapse to the base
     (GraphError("bad graph access"), GOptError),
     (GOptError("anything query-side"), GOptError),
-    (RuntimeError("a server bug"), GOptError),
 ]
 
 
@@ -68,9 +73,10 @@ REBUILD_TABLE = [
                          ids=[type(e).__name__ for e, _ in REBUILD_TABLE])
 def test_client_rebuilds_the_same_exception_type(exc, expected):
     """Server-side exception -> wire -> client-side exception is type-stable
-    for every type the protocol names (others collapse to GOptError)."""
+    for every type the protocol names; a 500 becomes ServerError and other
+    query-side types collapse to GOptError."""
     rebuilt = exception_from_wire(error_to_wire(exc))
-    assert isinstance(rebuilt, expected)
+    assert type(rebuilt) is expected
     assert isinstance(rebuilt, GOptError)
 
 
@@ -98,4 +104,6 @@ def test_unknown_type_falls_back_to_status_mapping():
     rebuilt = exception_from_wire(ErrorWire(type="Mystery", message="m", status=404))
     assert isinstance(rebuilt, NotFoundError)
     rebuilt = exception_from_wire(ErrorWire(type="Mystery", message="m", status=500))
+    assert type(rebuilt) is ServerError
+    rebuilt = exception_from_wire(ErrorWire(type="Mystery", message="m", status=400))
     assert type(rebuilt) is GOptError

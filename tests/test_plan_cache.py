@@ -251,6 +251,16 @@ class TestEnvironmentBypass:
             2 * (len(available_engines()) - 1), 2)
         assert all(result == results[0] for result in results)
 
+    def test_optimize_engine_keyword_is_inert(self, service):
+        """``optimize(engine=...)`` picks no engine-specific plan: every
+        value returns the one cached report (the keyword goes once no
+        caller passes it)."""
+        query = "MATCH (p:Person)-[:Knows]->(f:Person) RETURN count(f) AS c"
+        report = service.optimize(query)
+        for engine in available_engines():
+            assert service.optimize(query, engine=engine) is report
+        assert service.cache_info().misses == 1
+
     def test_config_change_bypasses(self, social_graph):
         service = GraphService(social_graph, backend="neo4j")
         query = "MATCH (p:Person)-[:Knows]->(f:Person) RETURN count(f) AS c"
