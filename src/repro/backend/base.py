@@ -277,8 +277,8 @@ class Backend:
 
     * ``"row"`` -- the tuple-at-a-time pull pipeline of
       :mod:`repro.backend.runtime.streaming`;
-    * ``"vectorized"`` -- the same module's columnar pipeline, moving
-      binding tables as column batches of ``batch_size`` rows;
+    * ``"vectorized"`` -- the same module's batch pipeline, moving the
+      same dict rows in lists of up to ``batch_size`` rows;
     * ``"dataflow"`` -- the partition-parallel runtime
       (:mod:`repro.backend.runtime.dataflow`): per-partition pipelines over
       the graph partitioner's shards (one partition without a

@@ -8,7 +8,6 @@ every engine's kernels with the central registry.
 
 from repro.backend.runtime import kernels
 from repro.backend.runtime.binding import ERef, PRef, VRef
-from repro.backend.runtime.columnar import MISSING, ColumnBatch, OverlayBinding, RowCursor
 from repro.backend.runtime.context import ExecutionContext
 from repro.backend.runtime.streaming import (
     execute_operator,
@@ -27,8 +26,4 @@ __all__ = [
     "stream_batches",
     "stream_result_rows",
     "stream_rows",
-    "ColumnBatch",
-    "RowCursor",
-    "OverlayBinding",
-    "MISSING",
 ]

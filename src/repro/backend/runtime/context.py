@@ -117,7 +117,7 @@ class ExecutionOptions:
     timeout_seconds: Optional[float] = None
     #: intermediate-row budget of one execution (``None``: unlimited)
     max_intermediate_results: Optional[int] = None
-    #: rows per column batch / dataflow morsel / kernel checkpoint interval
+    #: rows per vectorized batch / dataflow morsel / kernel checkpoint interval
     batch_size: int = 1024
 
     def __post_init__(self):

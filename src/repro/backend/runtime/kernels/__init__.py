@@ -13,9 +13,9 @@ Layer stack::
 * :mod:`~repro.backend.runtime.kernels.common` -- shared value semantics
   (matching, property retrieval, sort/dedup/merge keys, plan sharing);
 * :mod:`~repro.backend.runtime.kernels.rowwise` -- per-row kernels for the
-  streamable operators, emitting through the RowSink/BatchSink interface;
-* :mod:`~repro.backend.runtime.kernels.sinks` -- the RowSink/BatchSink
-  emission implementations the serial adapters share;
+  streamable operators, emitting through a sink;
+* :mod:`~repro.backend.runtime.kernels.sinks` -- the dict-row sink both
+  serial adapters share;
 * :mod:`~repro.backend.runtime.kernels.state` -- stateful kernels for the
   pipeline breakers (dedup, sort/top-k, aggregation, hash join), fed
   incrementally by both serial pipelines;

@@ -16,8 +16,9 @@ semantics every execution engine must agree on:
 * :func:`plan_refcounts` / :func:`shared_subtree_ids` -- plan-sharing
   analysis (ComSubPattern subtrees that must materialize exactly once).
 
-Every engine shares these helpers; any engine-specific representation
-concern is handled by the thin adapters in the interpreter modules instead.
+Every engine shares these helpers and the one row format, :data:`Row`;
+how rows are grouped (one at a time, lists, morsels) is the concern of the
+thin adapters in the interpreter modules.
 """
 
 from __future__ import annotations
@@ -26,12 +27,32 @@ from collections import Counter
 from typing import Dict, Iterable, Optional, Set
 
 from repro.backend.runtime.binding import ERef, VRef
-from repro.backend.runtime.columnar import MISSING, OverlayBinding
 from repro.errors import ExecutionError
 
-#: A binding table row.  The row engines use plain dicts; the columnar
-#: engines use cursor views -- kernels only rely on ``.get`` / ``.items``.
+#: A binding table row, the one row format of every engine: ``row`` streams
+#: them one at a time, ``vectorized`` in lists, ``dataflow`` in morsels.
 Row = Dict[str, object]
+
+
+class OverlayBinding:
+    """A binding that answers from ``extra`` first, then a base binding.
+
+    Used when probing predicates for a candidate element that is not part of
+    the row yet: the copy-free equivalent of ``dict(row); probe[tag] = ref``.
+    """
+
+    __slots__ = ("base", "extra")
+
+    def __init__(self, base, extra: Dict[str, object]):
+        self.base = base
+        self.extra = extra
+
+    def get(self, tag: str, default=None):
+        if tag in self.extra:
+            return self.extra[tag]
+        if self.base is None:
+            return default
+        return self.base.get(tag, default)
 
 
 # -- element matching ---------------------------------------------------------------
@@ -108,13 +129,9 @@ def hashable(value):
     return value
 
 
-def row_key(binding):
-    """Whole-row dedup key: present cells only, sorted by tag.
-
-    Works for dict rows and cursor views alike -- ``items()`` yields only
-    the cells the row actually has.
-    """
-    return tuple(sorted((tag, hashable(value)) for tag, value in binding.items()))
+def row_key(row: Row):
+    """Whole-row dedup key: the row's cells, sorted by tag."""
+    return tuple(sorted((tag, hashable(value)) for tag, value in row.items()))
 
 
 def sort_key(value):
@@ -126,14 +143,6 @@ def sort_key(value):
     if isinstance(value, (int, float)):
         return (1, "number", value)
     return (2, type(value).__name__, str(value))
-
-
-def normalized_column(batch, tag: str):
-    """The column for ``tag`` with MISSING surfaced as None (``row.get`` view)."""
-    column = batch.columns.get(tag)
-    if column is None:
-        return [None] * batch.num_rows
-    return [None if value is MISSING else value for value in column]
 
 
 def merge_rows(left: Row, right: Row) -> Optional[Row]:

@@ -3,10 +3,9 @@
 Each kernel is a *factory*: called once per (operator, execution) it returns
 a ``process(binding, sink)`` closure that handles one input row, so one-time
 work (pure-projection detection, branch unpacking) is hoisted out of the
-inner loop.  ``binding`` is anything with ``.get`` -- a dict row for the row
-engines, a positioned :class:`~repro.backend.runtime.columnar.RowCursor` for
-the columnar engines.  Output goes to a *sink*, the narrow emission
-interface every engine adapts to its own representation:
+inner loop.  ``binding`` is a dict row in every engine.  Output goes to a
+*sink*, the narrow emission interface each engine adapts to how it groups
+rows:
 
 * ``sink.emit(delta)`` -- the input row extended with ``delta``, a tuple of
   ``(tag, value)`` pairs (empty tuple = the row passes through unchanged);

@@ -6,7 +6,10 @@ pipeline per serial engine:
 * :func:`stream_rows` is the ``row`` engine -- each operator is a generator
   yielding dict rows one at a time;
 * :func:`stream_batches` is the ``vectorized`` engine -- each operator
-  yields :class:`ColumnBatch` chunks of ``ctx.batch_size`` rows.
+  yields lists of the same dict rows, up to ``ctx.batch_size`` of them from
+  a scan or a breaker and one output list per input list from a per-row
+  kernel, so counters are charged and generator frames entered once per
+  batch instead of once per row.
 
 Both drive the operator kernels of :mod:`repro.backend.runtime.kernels`, and
 the pipeline breakers execute *incrementally*:
@@ -43,12 +46,11 @@ from __future__ import annotations
 
 from typing import Iterator, List
 
-from repro.backend.runtime.columnar import ColumnBatch
 from repro.backend.runtime.context import ExecutionContext
 from repro.backend.runtime.kernels import registry, rowwise
 from repro.backend.runtime.kernels.common import (
-    Row, normalized_column, scan_candidates, shared_subtree_ids)
-from repro.backend.runtime.kernels.sinks import BatchSink, RowListSink
+    Row, scan_candidates, shared_subtree_ids)
+from repro.backend.runtime.kernels.sinks import RowListSink
 from repro.backend.runtime.kernels.state import (
     AggregateState,
     DistinctState,
@@ -57,7 +59,6 @@ from repro.backend.runtime.kernels.state import (
     sort_permutation,
 )
 from repro.errors import ExecutionError
-from repro.gir.expressions import TagRef
 from repro.testing.faults import fault_point
 from repro.optimizer.physical_plan import (
     Aggregate,
@@ -252,164 +253,134 @@ registry.register_kernel(registry.MODE_STREAM_ROWS, HashJoin, _stream_hash_join)
 # -- vectorized-engine streaming ----------------------------------------------------
 
 
-def stream_batches(op: PhysicalOperator, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-    """Lazily produce the binding table of ``op`` as column batches.
+def stream_batches(op: PhysicalOperator, ctx: ExecutionContext) -> Iterator[List[Row]]:
+    """Lazily produce the binding table of ``op`` as lists of dict rows.
 
     Operators transform input batches into output batches and charge
     counters per emitted batch; a subtree with two parents is drained once
-    into the operator cache and replays as a single batch.
+    into the operator cache as a row list and replays as a single batch.
     """
     cached = ctx.cached_result(id(op))
     if cached is None:
         if id(op) not in ctx.shared_op_ids:
             return _run_batches(op, ctx)
-        cached = ColumnBatch.concat(_run_batches(op, ctx))
+        cached = [row for batch in _run_batches(op, ctx) for row in batch]
         ctx.cache_result(id(op), cached, op)
-    return iter((cached,) if cached.num_rows else ())
+    return iter((cached,) if cached else ())
 
 
-def _run_batches(op: PhysicalOperator, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
+def _run_batches(op: PhysicalOperator, ctx: ExecutionContext) -> Iterator[List[Row]]:
     handler = _kernel(registry.MODE_STREAM_BATCHES, op)
     fault_point("stream.kernel", op=type(op).__name__)
     ctx.counters.operators_executed += 1
     for batch in handler(op, ctx):
-        if not batch.num_rows:
+        if not batch:
             continue
-        ctx.charge_intermediate(batch.num_rows)
-        ctx.counters.cells_produced += batch.cell_count()
+        ctx.charge_intermediate(len(batch))
+        ctx.counters.cells_produced += sum(map(len, batch))
         yield batch
 
 
-def _batch_child(op: PhysicalOperator, ctx: ExecutionContext, index: int = 0) -> Iterator[ColumnBatch]:
+def _batch_child(op: PhysicalOperator, ctx: ExecutionContext, index: int = 0) -> Iterator[List[Row]]:
     return stream_batches(op.inputs[index], ctx)
 
 
-def _rebatch(rows: List[Row], ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-    """Pivot breaker-state output rows back into batch_size column chunks."""
+def _rebatch(rows: List[Row], ctx: ExecutionContext) -> Iterator[List[Row]]:
+    """Cut breaker-state output rows into ``batch_size`` chunks."""
     for start in range(0, len(rows), ctx.batch_size):
-        yield ColumnBatch.from_rows(rows[start:start + ctx.batch_size])
+        yield rows[start:start + ctx.batch_size]
 
 
-def _batch_scan(op: ScanVertex, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
+def _batch_scan(op: ScanVertex, ctx: ExecutionContext) -> Iterator[List[Row]]:
     process = rowwise.scan_vertex(op, ctx)
-    sink = BatchSink()
+    sink = RowListSink()
     for vid in scan_candidates(op, ctx):
         process(vid, sink)
-        if sink.computed_rows >= ctx.batch_size:
-            yield sink.drain_computed()
-    if sink.computed_rows:
-        yield sink.drain_computed()
+        if len(sink.rows) >= ctx.batch_size:
+            yield sink.drain()
+    if sink.rows:
+        yield sink.drain()
 
 
 def _batch_rowwise(factory):
     """Drive a per-row kernel batch-wise: one output batch per input batch."""
 
-    def handler(op: PhysicalOperator, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
+    def handler(op: PhysicalOperator, ctx: ExecutionContext) -> Iterator[List[Row]]:
         process = factory(op, ctx)
-        sink = BatchSink()
-        for child in _batch_child(op, ctx):
-            cursor = child.cursor()
-            for index in range(child.num_rows):
-                cursor.index = index
-                sink.index = index
-                process(cursor, sink)
-            yield sink.drain(child)
+        sink = RowListSink()
+        for batch in _batch_child(op, ctx):
+            for row in batch:
+                sink.base = row
+                process(row, sink)
+            yield sink.drain()
 
     return handler
 
 
-def _batch_project(op: Project, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-    if not op.append and all(isinstance(item.expr, TagRef) for item in op.items):
-        # representational fast path: a pure column selection never touches
-        # individual rows; semantically identical to the kernel's per-row
-        # ``row.get`` (an absent tag surfaces as a present None cell)
-        for child in _batch_child(op, ctx):
-            columns = {item.alias: normalized_column(child, item.expr.tag)
-                       for item in op.items}
-            yield ColumnBatch(columns, child.num_rows)
-        return
-    yield from _batch_rowwise(rowwise.project_rows)(op, ctx)
-
-
-def _batch_limit(op: Limit, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
+def _batch_limit(op: Limit, ctx: ExecutionContext) -> Iterator[List[Row]]:
     remaining = op.count
     if remaining <= 0:
         return
-    for child in _batch_child(op, ctx):
-        batch = child.head(remaining)
-        remaining -= batch.num_rows
+    for batch in _batch_child(op, ctx):
+        batch = batch[:remaining]
+        remaining -= len(batch)
         yield batch
         if remaining <= 0:
             return  # stop pulling: upstream never produces the rest
 
 
-def _batch_dedup(op: Dedup, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
-    state = DistinctState(op.tags)
-    for child in _batch_child(op, ctx):
-        cursor = child.cursor()
-        selection: List[int] = []
-        for index in range(child.num_rows):
-            cursor.index = index
-            if state.admit(cursor):
-                selection.append(index)
-        yield ColumnBatch(child.gather_columns(selection), len(selection))
+def _batch_dedup(op: Dedup, ctx: ExecutionContext) -> Iterator[List[Row]]:
+    admit = DistinctState(op.tags).admit
+    for batch in _batch_child(op, ctx):
+        yield [row for row in batch if admit(row)]
 
 
-def _batch_union(op: Union, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
+def _batch_union(op: Union, ctx: ExecutionContext) -> Iterator[List[Row]]:
     if not op.distinct:
         for child in op.inputs:
             yield from stream_batches(child, ctx)
         return
-    state = DistinctState()
+    admit = DistinctState().admit
     for child in op.inputs:
         for batch in stream_batches(child, ctx):
-            cursor = batch.cursor()
-            selection: List[int] = []
-            for index in range(batch.num_rows):
-                cursor.index = index
-                if state.admit(cursor):
-                    selection.append(index)
-            yield ColumnBatch(batch.gather_columns(selection), len(selection))
+            yield [row for row in batch if admit(row)]
 
 
-def _batch_sort(op: Sort, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
+def _batch_sort(op: Sort, ctx: ExecutionContext) -> Iterator[List[Row]]:
     if op.limit is not None:
         state = TopKState(op, ctx)
-        for child in _batch_child(op, ctx):
-            for row in child.to_rows():
+        for batch in _batch_child(op, ctx):
+            for row in batch:
                 state.add(row)
         yield from _rebatch(state.finish(), ctx)
         return
     rows: List[Row] = []
-    for child in _batch_child(op, ctx):
-        rows.extend(child.to_rows())
+    for batch in _batch_child(op, ctx):
+        rows.extend(batch)
     ctx.note_held_rows(len(rows))
     order = sort_permutation(op, ctx, len(rows), rows.__getitem__)
     yield from _rebatch([rows[index] for index in order], ctx)
 
 
-def _batch_aggregate(op: Aggregate, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
+def _batch_aggregate(op: Aggregate, ctx: ExecutionContext) -> Iterator[List[Row]]:
     state = AggregateState(op, ctx)
-    for child in _batch_child(op, ctx):
-        cursor = child.cursor()
-        for index in range(child.num_rows):
-            cursor.index = index
-            state.add(cursor)
+    for batch in _batch_child(op, ctx):
+        for row in batch:
+            state.add(row)
     yield from _rebatch(state.finish(), ctx)
 
 
-def _batch_hash_join(op: HashJoin, ctx: ExecutionContext) -> Iterator[ColumnBatch]:
+def _batch_hash_join(op: HashJoin, ctx: ExecutionContext) -> Iterator[List[Row]]:
     state = HashJoinState(op, ctx)
     left: List[Row] = []
-    for child in _batch_child(op, ctx, 0):
-        left.extend(child.to_rows())
+    for batch in _batch_child(op, ctx, 0):
+        left.extend(batch)
     state.start(left)
-    for child in _batch_child(op, ctx, 1):
+    for batch in _batch_child(op, ctx, 1):
         out: List[Row] = []
-        for row in child.to_rows():
+        for row in batch:
             out.extend(state.feed(row))
-        if out:
-            yield ColumnBatch.from_rows(out)
+        yield out
     yield from _rebatch(state.finish(), ctx)
 
 
@@ -419,13 +390,13 @@ for _op_type, _factory in (
     (ExpandIntersect, rowwise.expand_intersect),
     (PathExpand, rowwise.path_expand),
     (Filter, rowwise.filter_rows),
+    (Project, rowwise.project_rows),
     (AllDifferent, rowwise.all_different),
 ):
     registry.register_kernel(registry.MODE_STREAM_BATCHES, _op_type,
                              _batch_rowwise(_factory))
 
 registry.register_kernel(registry.MODE_STREAM_BATCHES, ScanVertex, _batch_scan)
-registry.register_kernel(registry.MODE_STREAM_BATCHES, Project, _batch_project)
 registry.register_kernel(registry.MODE_STREAM_BATCHES, Limit, _batch_limit)
 registry.register_kernel(registry.MODE_STREAM_BATCHES, Dedup, _batch_dedup)
 registry.register_kernel(registry.MODE_STREAM_BATCHES, Union, _batch_union)
@@ -442,6 +413,6 @@ def stream_result_rows(op: PhysicalOperator, ctx: ExecutionContext,
     ctx.shared_op_ids = shared_subtree_ids(op)
     if engine == "vectorized":
         for batch in stream_batches(op, ctx):
-            yield from batch.to_rows()
+            yield from batch
         return
     yield from stream_rows(op, ctx)

@@ -29,6 +29,7 @@ between in-process and remote serving.
 from __future__ import annotations
 
 import http.client
+import itertools
 import json
 import socket
 import threading
@@ -385,12 +386,10 @@ class RemoteCursor:
         return self._buffer.popleft()
 
     def fetch_many(self, count: int) -> List[Dict[str, Any]]:
-        rows: List[Dict[str, Any]] = []
-        for row in self:
-            rows.append(row)
-            if len(rows) >= count:
-                break
-        return rows
+        """Up to ``count`` further rows, like ``ResultCursor.fetch_many``."""
+        if count < 0:
+            raise GOptError("fetch_many expects a non-negative count")
+        return list(itertools.islice(self, count))
 
     def fetch_all(self) -> List[Dict[str, Any]]:
         return list(self)

@@ -77,9 +77,6 @@ class OptimizerConfig:
     enable_type_inference: bool = True
     enable_cbo: bool = True
     use_high_order_statistics: bool = True
-    enable_join_transform: bool = True
-    enable_pruning: bool = True
-    enable_greedy_bound: bool = True
     max_motif_vertices: int = 3
     selectivity: SelectivityConfig = field(default_factory=SelectivityConfig)
 
@@ -217,14 +214,7 @@ class GOptimizer:
         if self._pattern_planner is not None:
             return self._pattern_planner.optimize(pattern)
         if self._config.enable_cbo:
-            searcher = PatternSearcher(
-                self._gq,
-                self._profile,
-                enable_join=self._config.enable_join_transform,
-                enable_pruning=self._config.enable_pruning,
-                enable_greedy_bound=self._config.enable_greedy_bound,
-            )
-            return searcher.optimize(pattern)
+            return PatternSearcher(self._gq, self._profile).optimize(pattern)
         planner = UserOrderPlanner(self._gq, self._profile)
         return planner.optimize(pattern)
 

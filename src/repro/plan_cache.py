@@ -24,9 +24,10 @@ built from:
     shapes only (:func:`parameter_type_signature`) -- N distinct values of
     one template share a single cache entry;
 
-* an environment fingerprint (backend, engine, graph size, optimizer
-  config), so mutating the graph or reconfiguring the optimizer bypasses
-  stale entries instead of serving plans built for a different world.
+* an environment fingerprint (backend, graph size, optimizer config), so
+  mutating the graph or reconfiguring the optimizer bypasses stale entries
+  instead of serving plans built for a different world.  The engine is not
+  part of it: every engine runs the same plan.
 
 All cache operations (lookup, insert, accounting) hold an internal lock, so
 one cache can safely serve the concurrent sessions of a ``GraphService``.

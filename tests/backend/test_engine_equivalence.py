@@ -71,9 +71,8 @@ def assert_engines_agree(backend, physical_plan, label=""):
 
     ``row`` and ``vectorized`` must agree on rows and on all six counters.
     The dataflow engine is held to identical rows, and to identical counters
-    -- including ``tuples_shuffled``, whose dataflow value is observed at
-    real exchanges rather than simulated -- unless the plan has an
-    early-exit Limit: it gathers before the driver-side Limit, so it may
+    -- ``tuples_shuffled`` included, which the shared kernels charge alike
+    under every engine -- unless the plan has an early-exit Limit: it gathers before the driver-side Limit, so it may
     then do *more* work than the serial pipelines, never less (on budget
     overruns only the ``timed_out`` flag is compared: the dataflow engine
     charges partition by partition, so the counters at the point of

@@ -10,6 +10,9 @@ Two contracts are locked down here:
   values (None, bools, ints, floats, strings) behave identically in every
   engine and streaming pipeline, because they all route through the single
   ``sort_key`` / ``row_key`` implementations in ``kernels.common``.
+
+It also covers ``OverlayBinding``, the copy-free probe binding the element
+matchers evaluate predicates against.
 """
 
 import gc
@@ -20,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro import GraphService
 from repro.backend.runtime.context import ExecutionContext
 from repro.backend.runtime.kernels import registry
+from repro.backend.runtime.kernels.common import OverlayBinding
 from repro.backend.runtime.kernels.state import TopKState, sort_permutation
 from repro.gir.expressions import TagRef
 from repro.gir.operators import SortKey
@@ -137,3 +141,16 @@ class TestTopKKernel:
             state.add(row)
         assert state.finish() == expected
         assert ctx.peak_held_rows <= k
+
+
+class TestOverlayBinding:
+    def test_overlay_prefers_extra(self):
+        overlay = OverlayBinding({"a": 1}, {"a": 99, "x": 7})
+        assert overlay.get("a") == 99
+        assert overlay.get("x") == 7
+        assert overlay.get("missing", "dflt") == "dflt"
+
+    def test_overlay_without_base(self):
+        overlay = OverlayBinding(None, {"t": 3})
+        assert overlay.get("t") == 3
+        assert overlay.get("u") is None

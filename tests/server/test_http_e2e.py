@@ -19,6 +19,7 @@ import pytest
 from repro.client import GraphClient
 from repro.errors import (
     ExecutionTimeout,
+    GOptError,
     NotFoundError,
     ParseError,
     ServiceOverloadedError,
@@ -463,6 +464,26 @@ def test_metrics_exposition_contract(serving_service):
 
 def test_healthz(client):
     assert client.healthz() == {"status": "ok"}
+
+
+def test_remote_fetch_many_counts_like_in_process(client, serving_service):
+    """``fetch_many(0)`` returns no row and a negative count raises, on the
+    remote cursor exactly as on the in-process ``ResultCursor``; neither
+    consumes a row."""
+    query = "MATCH (p:Person) RETURN p.name AS n"
+    with serving_service.session() as session:
+        local = session.run(query)
+        assert local.fetch_many(0) == []
+        with pytest.raises(GOptError):
+            local.fetch_many(-1)
+        expected = jsonable(local.fetch_all())
+    with client.session() as remote_session:
+        cursor = remote_session.cursor(query, fetch_size=4)
+        assert cursor.fetch_many(0) == []
+        with pytest.raises(GOptError):
+            cursor.fetch_many(-1)
+        assert cursor.fetch_many(3) == expected[:3]
+        assert cursor.fetch_all() == expected[3:]
 
 
 def test_session_close_via_delete(client, server):

@@ -12,6 +12,7 @@ from repro.backend import (
     ExecutionMetrics, ExecutionOptions, ExecutionResult, Neo4jLikeBackend)
 from repro.backend.runtime.context import ExecutionContext, WorkCounters
 from repro.client import GraphClient
+from repro.optimizer.planner import OptimizerConfig
 from repro.server.wire import QueryResultWire
 from repro.service import ConcurrentExecutor, QueryOutcome, Session
 
@@ -35,9 +36,24 @@ def test_removed_names_are_gone(social_graph):
     assert not hasattr(repro, "OptimizedQuery")
     assert not hasattr(repro.backend, "StreamingResult")
     assert not hasattr(repro.backend.base, "StreamingResult")
-    for module_name in ("repro.api", "repro.bench"):
+    for module_name in ("repro.api", "repro.bench",
+                        "repro.backend.runtime.columnar"):
         with pytest.raises(ImportError):
             importlib.import_module(module_name)
+    # one row format for every engine: no column batches, cursors or sinks
+    import repro.backend.runtime as runtime
+    import repro.backend.runtime.kernels.common as common
+    import repro.backend.runtime.kernels.sinks as sinks
+    for name in ("ColumnBatch", "RowCursor", "MISSING"):
+        assert not hasattr(runtime, name), name
+    assert not hasattr(sinks, "BatchSink")
+    assert not hasattr(common, "normalized_column")
+    # the search switches live on PatternSearcher only
+    config = OptimizerConfig()
+    for name in ("enable_pruning", "enable_join_transform", "enable_greedy_bound"):
+        assert not hasattr(config, name), name
+        with pytest.raises(TypeError):
+            OptimizerConfig(**{name: False})
     for alias in ("for_graph", "executor"):
         assert not hasattr(GraphService, alias), alias
     for name in ("BROADCAST_THRESHOLD", "DataflowRowStream",
