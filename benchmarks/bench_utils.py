@@ -205,7 +205,9 @@ def engine_comparison_experiment(
     """Row vs vectorized engine on identical physical plans (IC + BI workload).
 
     Each query is optimized once; the same plan is then interpreted by both
-    engines, so the measured difference is purely interpreter overhead.  The
+    engines -- the one batch pipeline at one row per batch and at the
+    backend's ``batch_size`` -- so the measured difference is purely the
+    per-batch interpreter overhead.  The
     ``rows_match`` column double-checks result equivalence inside the
     benchmark itself.
     """

@@ -91,7 +91,8 @@ def test_bench_scaling_bi(benchmark):
 
 
 def test_bench_scaling_engines(benchmark, g30, g100):
-    """Row vs vectorized interpreter on identical plans across two scales.
+    """Row vs vectorized interpreter on identical plans across two scales:
+    the one batch pipeline at batch 1 against batch 1024.
 
     The vectorized engine must be no slower than the row engine in aggregate
     (small per-query jitter is absorbed by summing, plus a timer-noise

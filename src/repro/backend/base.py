@@ -275,10 +275,10 @@ class Backend:
 
     Every backend can interpret physical plans with any of three engines:
 
-    * ``"row"`` -- the tuple-at-a-time pull pipeline of
-      :mod:`repro.backend.runtime.streaming`;
-    * ``"vectorized"`` -- the same module's batch pipeline, moving the
-      same dict rows in lists of up to ``batch_size`` rows;
+    * ``"row"`` -- the pull pipeline of
+      :mod:`repro.backend.runtime.streaming` at one dict row per batch;
+    * ``"vectorized"`` -- the same pipeline, moving the same dict rows in
+      lists of up to ``batch_size`` rows;
     * ``"dataflow"`` -- the partition-parallel runtime
       (:mod:`repro.backend.runtime.dataflow`): per-partition pipelines over
       the graph partitioner's shards (one partition without a
@@ -292,10 +292,13 @@ class Backend:
 
     Every execution is a stream (:meth:`execute_streaming`);
     :meth:`execute` drains one.  All engines produce identical rows in
-    identical order, and ``row`` and ``vectorized`` charge the work counters
-    identically (enforced by the differential test suite).  ``dataflow``
-    matches them too, except under a bare ``LIMIT``: it gathers its
-    partitions before the driver-side ``Limit``, so it may charge more.
+    identical order, and on a full drain ``row`` and ``vectorized`` charge
+    the work counters identically (enforced by the differential test
+    suite); a consumer or a bare ``LIMIT`` that stops early pays per batch,
+    so ``vectorized`` may have charged up to a batch more per operator than
+    ``row``.  ``dataflow`` matches them too, except under a bare ``LIMIT``:
+    it gathers its partitions before the driver-side ``Limit``, so it may
+    charge more.
     """
 
     name = "backend"
@@ -385,9 +388,10 @@ class Backend:
         benchmarks).  Nothing shared is mutated either way.  ``parameters``
         binds values for deferred ``$param`` placeholders in prepared plans.
 
-        Rows are produced on demand by the serial pipelines
+        Rows are produced on demand by the serial pipeline
         (:mod:`repro.backend.runtime.streaming`): a consumer that stops early
-        (``LIMIT``, cursor close) never pays for the rows it does not pull.
+        (``LIMIT``, cursor close) pays for at most one batch per operator
+        beyond the rows it pulled (one row under ``row``).
         Pipeline breakers execute incrementally -- hash joins stream their
         probe side, aggregations fold into group state, ``ORDER BY .. LIMIT``
         keeps a bounded top-k heap -- so no operator materializes more than
@@ -404,7 +408,7 @@ class Backend:
         if options.engine == "dataflow":
             source = stream_dataflow_rows(plan.root, ctx)
         else:
-            source = stream_result_rows(plan.root, ctx, options.engine)
+            source = stream_result_rows(plan.root, ctx)
         return ResultCursor(ctx, source, backend=self.name)
 
     # -- convenience helpers for presenting results ----------------------------------

@@ -1,6 +1,6 @@
 """Shared runtime pieces: binding values, execution context and interpreters.
 
-The serial pipelines (:mod:`repro.backend.runtime.streaming`) and the
+The serial pipeline (:mod:`repro.backend.runtime.streaming`) and the
 dataflow runtime are thin adapters over the operator-kernel layer
 (:mod:`repro.backend.runtime.kernels`); importing this package registers
 every engine's kernels with the central registry.
@@ -13,7 +13,6 @@ from repro.backend.runtime.streaming import (
     execute_operator,
     stream_batches,
     stream_result_rows,
-    stream_rows,
 )
 
 __all__ = [
@@ -25,5 +24,4 @@ __all__ = [
     "kernels",
     "stream_batches",
     "stream_result_rows",
-    "stream_rows",
 ]

@@ -207,7 +207,8 @@ class ExecutionContext:
         # spare the per-row hop through ``options``
         self.max_intermediate_results = options.max_intermediate_results
         self.timeout_seconds = options.timeout_seconds
-        self.batch_size = options.batch_size
+        # ``row`` is the serial pipeline at one row per batch
+        self.batch_size = 1 if options.engine == "row" else options.batch_size
         # populated by the dataflow engine: observed exchange traffic
         # (None for the serial engines)
         self.exchange_stats = None
@@ -216,7 +217,7 @@ class ExecutionContext:
         # observable proof that incremental breakers are bounded-memory
         self.peak_held_rows = 0
         # ids of plan operators referenced by more than one parent
-        # (ComSubPattern); the serial pipelines drain these once into the
+        # (ComSubPattern); the serial pipeline drains these once into the
         # operator cache instead of streaming them per parent.  Populated
         # from the plan root by ``stream_result_rows`` (and from the subtree
         # it is entered at by ``execute_operator``).
@@ -226,10 +227,11 @@ class ExecutionContext:
         # batch in every engine
         self.cancel_token = cancel_token or CancellationToken()
         # cheap checkpoint counter: ``tick`` probes the deadline/cancellation
-        # once every ``batch_size`` units of otherwise-unaccounted work (e.g.
-        # scanned-but-rejected vertices), so long selective streams cannot
-        # outrun their budget between materialization points
+        # once every ``options.batch_size`` units of otherwise-unaccounted
+        # work (e.g. scanned-but-rejected vertices, also under ``row``), so
+        # long selective streams cannot outrun their budget
         self._ticks = 0
+        self._tick_interval = options.batch_size
         # execute-time values for deferred $param placeholders (prepared plans)
         self.parameters: Dict[str, object] = dict(parameters or {})
         self._start_time = time.perf_counter()
@@ -271,12 +273,13 @@ class ExecutionContext:
         """Kernel-batch checkpoint for work that produces no charged rows.
 
         Kernels call this once per consumed input unit (a probed scan
-        vertex, a replayed cached row); every ``batch_size`` ticks the full
-        deadline/cancellation check runs, bounding how long a selective
-        stream can run without noticing its budget or a cancel request.
+        vertex, a replayed cached row); every ``options.batch_size`` ticks
+        the full deadline/cancellation check runs, bounding how long a
+        selective stream can run without noticing its budget or a cancel
+        request.
         """
         self._ticks += count
-        if self._ticks >= self.batch_size:
+        if self._ticks >= self._tick_interval:
             self._ticks = 0
             self.check_deadline()
 

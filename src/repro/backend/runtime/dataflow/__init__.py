@@ -6,10 +6,10 @@ relocation for tree-shaped anchors and a lineage-ordered gather for the
 final merge -- over :class:`~repro.graph.partition.GraphPartitioner`
 shards.  Morsels (plain lists of lineage-tagged rows) are pushed
 depth-first through the pipelines on the caller's thread.  Pipeline
-breakers, joins included, run at the driver through the row engine.
+breakers, joins included, run at the driver through the serial pipeline.
 
 The engine produces the same rows in the same order, and charges the same
-work counters, as the serial row engine; its one job is to *observe* at its
+work counters, as the serial engines; its one job is to *observe* at its
 exchanges the communication that the ``graphscope_like`` backend
 *simulates*, which turns the optimizer's communication cost model into a
 testable prediction.  An execution starts on the consumer's first pull

@@ -18,7 +18,7 @@ Three kinds of data movement connect the per-partition pipelines:
 * **gather** -- merge the final per-partition outputs of a segment at the
   driver, in lineage order.  Recorded as observed traffic; the driver-side
   pipeline breakers (joins included) then charge the simulated
-  communication through the row-engine handlers they reuse, so the work
+  communication through the serial pipeline's handlers they reuse, so the work
   counters stay identical to the serial engines.
 
 :class:`ExchangeStats` is the observability surface: every physical row (or

@@ -8,7 +8,7 @@ The dataflow engine executes a physical plan as an alternation of
   :mod:`repro.backend.runtime.dataflow.steps`), compiled into per-partition
   pipelines connected by exchange operators; and
 * **driver operators** -- pipeline breakers (Sort, Aggregate, HashJoin,
-  Limit, Dedup, Union) interpreted at the driver by the serial row-engine
+  Limit, Dedup, Union) interpreted at the driver by the serial pipeline's
   handlers over the gathered segment outputs.
 
 A segment is *scan-sourced* when its bottom operator is a ``ScanVertex``

@@ -13,12 +13,12 @@ caller's thread:
   stage's exchange routes the output to destination partitions, and each
   destination's morsels are pushed depth-first into the next stage;
 * pipeline breakers (Sort, Aggregate, HashJoin, Limit, Dedup, Union) run at
-  the driver through the row pipeline's handlers over gathered rows, so
+  the driver through the serial pipeline's handlers over gathered rows, so
   their results -- and their simulated communication charges -- are
-  identical to the row engine's.
+  identical to the serial engines'.
 
 Rows carry lineage tuples; the final gather merges all partitions' outputs
-in lineage order, which reproduces the serial row engine's row order exactly
+in lineage order, which reproduces the serial engines' row order exactly
 -- the differential suite holds the dataflow engine to the same rows and
 work counters as the row and vectorized engines.  The shared kernels charge
 ``tuples_shuffled`` exactly as they do under the serial engines; the
@@ -92,7 +92,7 @@ class DataflowExecutor:
         for child in op.inputs:
             self._node(child)
         # children are now operator-cached: the serial handler interprets
-        # just this operator, charging counters exactly like the row engine
+        # just this operator, charging counters exactly like the serial engines
         return execute_operator(op, self.ctx)
 
     # -- segment execution -----------------------------------------------------
@@ -117,7 +117,7 @@ class DataflowExecutor:
     def _run_segment(self, segment: SegmentPlan) -> List[Row]:
         ctx = self.ctx
         sources = self._segment_sources(segment)
-        # one operators_executed tick per chain operator, like the row engine
+        # one operators_executed tick per chain operator, like the serial engines
         ctx.counters.operators_executed += len(segment.steps)
         pipelines = build_pipelines(segment)
         gathered: List[Pair] = []
@@ -185,7 +185,7 @@ def stream_dataflow_rows(root: PhysicalOperator,
                          ctx: ExecutionContext) -> Iterator[Row]:
     """The rows of a dataflow execution that starts on the first pull.
 
-    As with the serial pipelines, nothing runs until the consumer asks for a
+    As with the serial pipeline, nothing runs until the consumer asks for a
     row.  That pull runs the whole execution on the consumer's thread, since
     the row order is known only after the lineage-ordered gather.  A cancel
     (a cursor closed from another thread, an executor shutdown) stops the

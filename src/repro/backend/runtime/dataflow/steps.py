@@ -3,7 +3,7 @@
 Each step transforms a morsel -- a plain list of (lineage, row) pairs -- by
 driving the shared per-row operator kernels
 (:mod:`repro.backend.runtime.kernels.rowwise`), the same semantic bodies the
-serial row engine interprets, through a lineage-tracking sink.  Lineage
+serial pipeline interprets, through a lineage-tracking sink.  Lineage
 tuples encode where a row came from: the global scan index of its source
 vertex followed by one expansion index per row-generating operator.  Output
 lineage appends one index per produced row to the input row's lineage, so
@@ -15,13 +15,14 @@ exactly as under the serial drivers; the *exchange* that physically routes
 the produced rows only records what it moved in
 :class:`~repro.backend.runtime.dataflow.exchange.ExchangeStats` (the two
 counts agree because a row is always co-located with the expansion's anchor
-when the kernel runs).  One deliberate difference from the serial drivers:
-steps charge intermediates and cells per processed morsel instead of per
-row, so the budget is checked once per morsel.  The totals are identical.
+when the kernel runs).  One deliberate difference from the serial pipeline:
+steps charge intermediates and cells once per processed morsel's output
+instead of per ``batch_size`` cut, so the budget is checked once per
+morsel.  The totals are identical.
 
 Pipeline breakers (Sort, Aggregate, HashJoin, Limit, Dedup, Union) are
 declared registry fallbacks: the driver interprets them through the serial
-row engine over gathered rows.
+pipeline over gathered rows.
 """
 
 from __future__ import annotations

@@ -6,19 +6,20 @@ Layer stack::
                                         |
                                   kernel layer (this package)
                                         |
-          +-----------------+-------------------+----------------+
-          | row pipeline    | batch pipeline    | dataflow       |
-          | (streaming.py)  | (streaming.py)    | (partitions)   |
+              +-------------------------+----------------+
+              | batch pipeline          | dataflow       |
+              | (streaming.py; ``row``  | (partitions)   |
+              | is it at 1 row/batch)   |                |
 
 * :mod:`~repro.backend.runtime.kernels.common` -- shared value semantics
   (matching, property retrieval, sort/dedup/merge keys, plan sharing);
 * :mod:`~repro.backend.runtime.kernels.rowwise` -- per-row kernels for the
   streamable operators, emitting through a sink;
-* :mod:`~repro.backend.runtime.kernels.sinks` -- the dict-row sink both
-  serial adapters share;
+* :mod:`~repro.backend.runtime.kernels.sinks` -- the dict-row sink of the
+  serial pipeline;
 * :mod:`~repro.backend.runtime.kernels.state` -- stateful kernels for the
   pipeline breakers (dedup, sort/top-k, aggregation, hash join), fed
-  incrementally by both serial pipelines;
+  incrementally by the serial pipeline;
 * :mod:`~repro.backend.runtime.kernels.registry` -- the (mode, operator) ->
   kernel registry every engine dispatches through, with declared fallbacks
   and a completeness check.

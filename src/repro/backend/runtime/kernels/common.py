@@ -182,7 +182,7 @@ def shared_subtree_ids(root) -> Set[int]:
     """ids of operators referenced by more than one parent.
 
     A shared subtree (the ComSubPattern rewrite) must execute exactly once
-    per plan run; the serial pipelines drain such nodes once into the
+    per plan run; the serial pipeline drains such nodes once into the
     operator cache instead of streaming them twice.
     """
     return {op_id for op_id, count in plan_refcounts(root).items() if count > 1}

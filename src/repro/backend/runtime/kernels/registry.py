@@ -5,7 +5,8 @@ and dispatches through :func:`kernel_for`, so the set of operators an engine
 supports is declared data, not an implementation detail buried in a module-
 private dict.  An operator an engine cannot (or deliberately does not)
 execute itself must declare an explicit *fallback* with a reason -- e.g. the
-dataflow engine runs pipeline breakers at the driver through the row pipeline.
+dataflow engine runs pipeline breakers at the driver through the serial
+pipeline.
 
 The completeness contract is enforced by tests: for every concrete
 :class:`~repro.optimizer.physical_plan.PhysicalOperator` subclass and every
@@ -19,14 +20,13 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple, Type
 
-#: the execution modes engines register kernels under: one per engine in
-#: ``repro.backend.ENGINES``, named after it (the two serial engines are the
-#: row and the batch pipeline of :mod:`repro.backend.runtime.streaming`)
-MODE_STREAM_ROWS = "row"
+#: the execution modes engines register kernels under: the batch pipeline of
+#: :mod:`repro.backend.runtime.streaming`, which runs both serial engines
+#: (``row`` is it at one row per batch), and the dataflow runtime
 MODE_STREAM_BATCHES = "vectorized"
 MODE_DATAFLOW = "dataflow"
 
-MODES = (MODE_STREAM_ROWS, MODE_STREAM_BATCHES, MODE_DATAFLOW)
+MODES = (MODE_STREAM_BATCHES, MODE_DATAFLOW)
 
 _KERNELS: Dict[str, Dict[type, Callable]] = {mode: {} for mode in MODES}
 _FALLBACKS: Dict[str, Dict[type, str]] = {mode: {} for mode in MODES}

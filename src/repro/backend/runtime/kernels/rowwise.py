@@ -16,7 +16,7 @@ edges traversed, property-retrieval cells, simulated shuffles, path-frontier
 intermediates, deadline checks -- exactly once per unit of work, so every
 adapter observes identical counter totals on a full drain.  Output-level
 charges (intermediate rows, produced cells) are the adapters' concern: per
-row or batch for the serial pipelines, per morsel for the dataflow steps.
+``batch_size`` cut for the serial pipeline, per morsel for the dataflow steps.
 
 The dataflow engine runs these same kernels inside its segments, shuffle
 charges included; its exchanges only record the rows they physically route

@@ -1,10 +1,10 @@
-"""The emission sink the serial pipelines hand to the per-row kernels.
+"""The emission sink the serial pipeline hands to the per-row kernels.
 
 A kernel emits either the input row extended with a delta (``emit``) or a
 brand-new row (``emit_row``); :class:`RowListSink` turns both into dict rows
-appended to a list.  The row pipeline :meth:`~RowListSink.drain`\\ s it after
-each input row to yield lazily, the vectorized pipeline after each input
-batch (or every ``batch_size`` rows of a scan) to yield one output batch.
+appended to a list.  The pipeline :meth:`~RowListSink.drain`\\ s it after
+each input batch (or every ``batch_size`` rows of a scan) to yield one
+output batch, which it charges in ``batch_size`` cuts.
 
 The dataflow engine's lineage-tagged sink lives with its steps
 (:mod:`repro.backend.runtime.dataflow.steps`) -- lineage tuples are a
@@ -19,7 +19,7 @@ from repro.backend.runtime.kernels.common import Row
 
 
 class RowListSink:
-    """Emission sink of both serial pipelines: deltas become dict rows in a list."""
+    """Emission sink of the serial pipeline: deltas become dict rows in a list."""
 
     __slots__ = ("rows", "base")
 

@@ -1,8 +1,8 @@
 """Stateful operator kernels: dedup, sort, top-k, aggregation, hash join.
 
 These are the single semantic implementations of the pipeline-breaking (and
-otherwise stateful) operators, fed incrementally by the row and the batch
-pipeline alike:
+otherwise stateful) operators, fed incrementally by the serial pipeline and
+run at the dataflow driver:
 
 * :class:`DistinctState` -- admit-or-drop filtering for Dedup and
   ``Union distinct`` (whole-row or per-tag keys);
@@ -66,17 +66,16 @@ class DistinctState:
 
 # -- sort / top-k ------------------------------------------------------------------
 
-def sort_permutation(op, ctx, count: int, binding_at) -> List[int]:
-    """Input indices in Sort's output order (limit applied).
+def sort_permutation(op, ctx, rows: List[Row]) -> List[int]:
+    """Indices into ``rows`` in Sort's output order (limit applied).
 
     Stable sorts are applied from the least-significant key to the most
-    significant, exactly like the row engine sorts its row list.
+    significant.
     """
     evaluate = ctx.evaluator.evaluate
-    order = list(range(count))
+    order = list(range(len(rows)))
     for key in reversed(op.keys):
-        values = [sort_key(evaluate(key.expr, binding_at(index)))
-                  for index in range(count)]
+        values = [sort_key(evaluate(key.expr, row)) for row in rows]
         order.sort(key=values.__getitem__, reverse=not key.ascending)
     if op.limit is not None:
         order = order[: op.limit]
@@ -230,7 +229,7 @@ class AggregateState:
         self.op = op
         self.ctx = ctx
         # key tuple -> (evaluated key values, accumulators); insertion order
-        # is first-seen order, which is the row engine's output order
+        # is first-seen order, which is the output order
         self.groups: Dict[Tuple, Tuple[Tuple, List[_Accumulator]]] = {}
 
     def add(self, binding) -> None:

@@ -370,8 +370,7 @@ class RemoteCursor:
         self._buffer.extend(chunk.rows)
         self.timed_out = self.timed_out or chunk.timed_out
         if chunk.exhausted:
-            self._exhausted = True
-            self._closed = True  # the server already released the cursor
+            self._exhausted = True  # the server already released the cursor
             self.metrics = chunk.metrics
             self.peak_held_rows = chunk.peak_held_rows
 
@@ -379,11 +378,17 @@ class RemoteCursor:
         return self
 
     def __next__(self) -> Dict[str, Any]:
+        if self._closed:
+            raise StopIteration
         while not self._buffer:
-            if self._exhausted or self._closed:
+            if self._exhausted:
                 raise StopIteration
             self._fetch_chunk()
         return self._buffer.popleft()
+
+    def fetch_one(self) -> Optional[Dict[str, Any]]:
+        """The next row, or ``None`` at the end, like ``ResultCursor.fetch_one``."""
+        return next(self, None)
 
     def fetch_many(self, count: int) -> List[Dict[str, Any]]:
         """Up to ``count`` further rows, like ``ResultCursor.fetch_many``."""
@@ -395,11 +400,20 @@ class RemoteCursor:
         return list(self)
 
     def close(self) -> None:
-        """Release the server-side cursor early (idempotent)."""
+        """Release the server-side cursor early (idempotent); after
+        exhaustion the server has already released it, so nothing is sent."""
         if self._closed:
             return
         self._closed = True
-        self._client.call("DELETE", "/v1/cursors/%s" % self.cursor_id)
+        self._buffer.clear()
+        if not self._exhausted:
+            self._client.call("DELETE", "/v1/cursors/%s" % self.cursor_id)
+
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` has run, as on ``ResultCursor``: exhaustion
+        alone does not close a cursor."""
+        return self._closed
 
     def __enter__(self) -> "RemoteCursor":
         return self

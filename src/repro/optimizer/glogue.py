@@ -16,14 +16,12 @@ Stored statistics:
   isomorphism-invariant descriptor (3-vertex motifs, i.e. ``k = 3``).
 
 Counting is exact; the graph sparsification of GLogS is unnecessary at the
-scales this reproduction targets, but a ``sample_ratio`` knob is provided to
-emulate it (counts are scaled back up by ``1 / sample_ratio``).
+scales this reproduction targets.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from collections import defaultdict
 from typing import Dict, Optional, Tuple
 
@@ -79,15 +77,8 @@ class Glogue:
         cls,
         graph: PropertyGraph,
         max_pattern_vertices: int = 3,
-        sample_ratio: float = 1.0,
-        seed: int = 0,
     ) -> "Glogue":
-        """Collect statistics from a data graph.
-
-        ``sample_ratio`` < 1 counts wedges/triangles on a sample and scales
-        the counts up (emulating GLogS sparsification); low-order statistics
-        are always exact.
-        """
+        """Collect statistics from a data graph."""
         glogue = cls(graph.schema, max_pattern_vertices)
         glogue.total_vertices = graph.num_vertices
         glogue.total_edges = graph.num_edges
@@ -95,21 +86,17 @@ class Glogue:
         glogue.label_freq = dict(graph.counts_by_edge_label())
         glogue.triple_freq = dict(graph.counts_by_edge_triple())
         if max_pattern_vertices >= 3:
-            glogue._count_three_vertex_motifs(graph, sample_ratio, seed)
+            glogue._count_three_vertex_motifs(graph)
         return glogue
 
-    def _count_three_vertex_motifs(self, graph: PropertyGraph, sample_ratio: float, seed: int) -> None:
-        rng = random.Random(seed)
+    def _count_three_vertex_motifs(self, graph: PropertyGraph) -> None:
         counts: Dict[Tuple, float] = defaultdict(float)
-        scale = 1.0 / sample_ratio if sample_ratio < 1.0 else 1.0
 
         # wedges: every ordered assignment of the two pattern edges to incident
         # data edges is one homomorphism; symmetric wedges therefore count twice
         # per unordered pair plus once for the degenerate "both pattern edges on
         # the same data edge" mapping.
         for center in graph.vertices():
-            if sample_ratio < 1.0 and rng.random() > sample_ratio:
-                continue
             center_type = graph.vertex_type(center)
             incident = []
             for eid, dst in graph.out_edges(center):
@@ -117,18 +104,16 @@ class Glogue:
             for eid, src in graph.in_edges(center):
                 incident.append((graph.edge_label(eid), graph.vertex_type(src), False))
             for i, left in enumerate(incident):
-                counts[_wedge_key(center_type, left, left)] += scale
+                counts[_wedge_key(center_type, left, left)] += 1.0
                 for j in range(i + 1, len(incident)):
                     right = incident[j]
-                    weight = 2 * scale if left == right else scale
+                    weight = 2.0 if left == right else 1.0
                     counts[_wedge_key(center_type, left, right)] += weight
 
         # triangles: for every edge (u, v), find common neighbours w; each
         # triangle instance (set of three edge ids) is discovered once per
         # choice of base edge, hence the division by 3.
         for eid in graph.edges():
-            if sample_ratio < 1.0 and rng.random() > sample_ratio:
-                continue
             edge = graph.edge(eid)
             u, v = edge.src, edge.dst
             u_adjacent: Dict[int, list] = {}
@@ -139,7 +124,7 @@ class Glogue:
                     continue
                 for u_eid in u_adjacent[w]:
                     key = self._data_triangle_key(graph, eid, u_eid, adj_eid, u, v, w)
-                    counts[key] += scale / 3.0
+                    counts[key] += 1.0 / 3.0
 
         self._motif_freq = dict(counts)
 

@@ -1,18 +1,19 @@
-"""The vectorized engine's batch pipeline: lists of the row engine's dict rows.
+"""The serial batch pipeline: lists of dict rows, cut at ``batch_size``.
 
-``stream_batches`` moves the very rows ``stream_rows`` yields, in lists.
-Locked down here are the properties of those lists themselves -- where they
-are cut, that none is empty, that a Limit slices rather than overshoots,
-that the list filters (Dedup, distinct Union) see duplicates across batch
-boundaries, and that a shared subtree replays as one batch -- plus the
-``RowListSink`` both pipelines hand to the per-row kernels.
+``stream_batches`` at batch size 7 moves the very rows it yields at batch
+size 1 (the ``row`` engine), in lists.  Locked down here are the properties
+of those lists themselves -- where they are cut (scans, breaker outputs,
+an expand's fan-out, a shared subtree's replay), that none is empty, that a
+Limit slices rather than overshoots, and that the list filters (Dedup,
+distinct Union) see duplicates across batch boundaries -- plus the
+``RowListSink`` the pipeline hands to the per-row kernels.
 """
 
 import pytest
 
 from repro.backend.runtime.context import ExecutionContext, ExecutionOptions
 from repro.backend.runtime.kernels.sinks import RowListSink
-from repro.backend.runtime.streaming import stream_batches, stream_rows
+from repro.backend.runtime.streaming import stream_batches
 from repro.gir.expressions import parse_expression
 from repro.gir.operators import AggregateCall, AggregateFunction, ProjectItem, SortKey
 from repro.graph.types import BasicType, Direction, TypeConstraint
@@ -31,7 +32,8 @@ BATCH = 7
 
 
 def _ctx(graph, batch_size=BATCH):
-    return ExecutionContext(graph, options=ExecutionOptions(batch_size=batch_size))
+    return ExecutionContext(graph, options=ExecutionOptions(
+        engine="vectorized", batch_size=batch_size))
 
 
 def _persons(tag="a"):
@@ -53,7 +55,8 @@ def _batches(op, graph, batch_size=BATCH):
 
 
 def _rows(op, graph):
-    return list(stream_rows(op, _ctx(graph)))
+    """The reference: the rows of the same plan one row per batch."""
+    return [row for batch in _batches(op, graph, batch_size=1) for row in batch]
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +73,7 @@ class TestBatchShape:
         assert [len(b) for b in batches[:-1]] == [BATCH] * (len(batches) - 1)
         assert sum(map(len, batches)) == person_count
 
-    def test_batches_are_lists_of_the_row_engines_dict_rows(self, social_graph):
+    def test_batches_are_lists_of_the_one_row_batches_dict_rows(self, social_graph):
         plan = _knows(_persons())
         batches = _batches(plan, social_graph)
         assert all(type(batch) is list for batch in batches)
@@ -93,6 +96,20 @@ class TestBatchShape:
         ids = [row["a"].id for batch in batches for row in batch]
         assert len(ids) == person_count
         assert [row["a"].id for row in _rows(plan, social_graph)] == ids
+
+    def test_expand_fan_out_is_cut_at_batch_size(self, social_graph):
+        plan = _knows(_persons())
+        reference = _rows(plan, social_graph)
+        batches = _batches(plan, social_graph, batch_size=3)
+        assert max(map(len, batches)) == 3  # a 3-person batch fans out wider
+        assert [row for batch in batches for row in batch] == reference
+        # one row per batch: pulling the first Knows row of a person with
+        # several charges that one row, not the person's whole fan-out
+        ctx = _ctx(social_graph, batch_size=1)
+        first = next(stream_batches(plan, ctx))
+        assert len(first) == 1
+        assert sum(row["a"] == first[0]["a"] for row in reference) > 1
+        assert ctx.counters.intermediate_results == ctx.counters.vertices_scanned + 1
 
     def test_aggregate_groups_are_rebatched(self, social_graph):
         plan = Aggregate(keys=(ProjectItem(parse_expression("a"), "a"),),
@@ -135,14 +152,16 @@ class TestListKernels:
                 for row in batch]
         assert len(rows) == 2 * person_count
 
-    def test_shared_subtree_replays_as_one_batch(self, social_graph, person_count):
+    def test_shared_subtree_replay_is_cut_at_batch_size(self, social_graph, person_count):
         scan = _persons()
         ctx = _ctx(social_graph)
         ctx.shared_op_ids = frozenset({id(scan)})
         first = list(stream_batches(scan, ctx))
         second = list(stream_batches(scan, ctx))
-        assert len(first) == len(second) == 1
-        assert first[0] == second[0] and len(first[0]) == person_count
+        assert first == second
+        assert len(first) == -(-person_count // BATCH)
+        assert [len(b) for b in first[:-1]] == [BATCH] * (len(first) - 1)
+        assert sum(map(len, first)) == person_count
         assert ctx.counters.operators_executed == 1
 
 

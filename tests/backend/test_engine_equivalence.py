@@ -1,5 +1,6 @@
 """Differential test suite: the vectorized engine must be row-for-row
-equivalent to the row engine, and the dataflow engine to both.
+equivalent to the row engine (the same batch pipeline at one row per
+batch), and the dataflow engine to both.
 
 Every query of the micro (QR/QT/QC) and LDBC (IC/BI) workloads is optimized
 once and the resulting physical plan is interpreted by every engine on BOTH
@@ -69,7 +70,9 @@ def _has_limit(op) -> bool:
 def assert_engines_agree(backend, physical_plan, label=""):
     """Execute one plan with every engine; rows and counters must match.
 
-    ``row`` and ``vectorized`` must agree on rows and on all six counters.
+    ``row`` (the batch pipeline at one row per batch) and ``vectorized`` --
+    at the backend's batch size and at 7, so that batches are cut inside
+    every operator's output -- must agree on rows and on all six counters.
     The dataflow engine is held to identical rows, and to identical counters
     -- ``tuples_shuffled`` included, which the shared kernels charge alike
     under every engine -- unless the plan has an early-exit Limit: it gathers before the driver-side Limit, so it may
@@ -79,18 +82,21 @@ def assert_engines_agree(backend, physical_plan, label=""):
     interruption differ).
     """
     row_result = backend.execute(physical_plan, engine="row")
-    vec_result = backend.execute(physical_plan, engine="vectorized")
     assert_dataflow_agrees(backend, physical_plan, row_result, label)
-    assert row_result.timed_out == vec_result.timed_out, label
-    assert row_result.rows == vec_result.rows, (
-        "%s: engines disagree on rows (%d row-engine vs %d vectorized)"
-        % (label, len(row_result.rows), len(vec_result.rows)))
     row_metrics = row_result.metrics.as_dict()
-    vec_metrics = vec_result.metrics.as_dict()
-    for counter in COMPARED_COUNTERS:
-        assert row_metrics[counter] == vec_metrics[counter], (
-            "%s: counter %s differs (row=%s vectorized=%s)"
-            % (label, counter, row_metrics[counter], vec_metrics[counter]))
+    for batch_size in (None, 7):
+        vec_result = backend.execute(physical_plan, engine="vectorized",
+                                     batch_size=batch_size)
+        vec_label = "%s [vectorized, batch_size=%s]" % (label, batch_size or "default")
+        assert row_result.timed_out == vec_result.timed_out, vec_label
+        assert row_result.rows == vec_result.rows, (
+            "%s: engines disagree on rows (%d row-engine vs %d vectorized)"
+            % (vec_label, len(row_result.rows), len(vec_result.rows)))
+        vec_metrics = vec_result.metrics.as_dict()
+        for counter in COMPARED_COUNTERS:
+            assert row_metrics[counter] == vec_metrics[counter], (
+                "%s: counter %s differs (row=%s vectorized=%s)"
+                % (vec_label, counter, row_metrics[counter], vec_metrics[counter]))
 
 
 def assert_dataflow_agrees(backend, physical_plan, row_result, label=""):

@@ -36,11 +36,12 @@ class TestRegistryCompleteness:
         """No (mode, operator) pair without a kernel or a declared fallback."""
         assert registry.missing_registrations() == []
 
-    def test_one_mode_per_engine(self):
+    def test_one_mode_per_pipeline(self):
+        """The serial engines share the batch pipeline's mode; dataflow has its own."""
         from repro.backend import ENGINES
 
-        assert len(registry.MODES) == 3
-        assert set(registry.MODES) == set(ENGINES)
+        assert registry.MODES == ("vectorized", "dataflow")
+        assert set(registry.MODES) < set(ENGINES)
 
     def test_dataflow_breakers_have_declared_fallbacks(self):
         from repro.optimizer.physical_plan import (
@@ -52,12 +53,12 @@ class TestRegistryCompleteness:
             reason = registry.fallback_reason(registry.MODE_DATAFLOW, op_type)
             assert reason and "driver" in reason
 
-    def test_serial_modes_have_no_fallbacks(self):
-        """Both serial pipelines stream every operator incrementally."""
-        for mode in (registry.MODE_STREAM_ROWS, registry.MODE_STREAM_BATCHES):
-            for op_type in registry.all_physical_operator_types():
-                assert registry.has_kernel(mode, op_type), (
-                    "%s lacks a %s kernel" % (op_type.__name__, mode))
+    def test_serial_mode_has_no_fallbacks(self):
+        """The serial pipeline streams every operator incrementally."""
+        for op_type in registry.all_physical_operator_types():
+            assert registry.has_kernel(registry.MODE_STREAM_BATCHES, op_type), (
+                "%s lacks a serial kernel" % op_type.__name__)
+            assert registry.fallback_reason(registry.MODE_STREAM_BATCHES, op_type) is None
 
     def test_new_operator_without_kernels_is_reported(self):
         """A freshly added PhysicalOperator subclass shows up as missing."""
@@ -133,7 +134,7 @@ class TestTopKKernel:
         op = Sort(keys=(SortKey(expr=TagRef("s"), ascending=ascending),), limit=k)
         rows = [{"s": value, "i": index} for index, value in enumerate(values)]
         ctx = ExecutionContext(PropertyGraph())
-        full_order = sort_permutation(op, ctx, len(rows), rows.__getitem__)
+        full_order = sort_permutation(op, ctx, rows)
         expected = [rows[index] for index in full_order]
 
         state = TopKState(op, ctx)

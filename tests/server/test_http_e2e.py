@@ -486,6 +486,52 @@ def test_remote_fetch_many_counts_like_in_process(client, serving_service):
         assert cursor.fetch_all() == expected[3:]
 
 
+def test_remote_fetch_one_and_closed_like_in_process(client, serving_service):
+    """``fetch_one`` returns ``None`` at the end and ``closed`` turns true
+    only on ``close()``, on the remote cursor as on the in-process one."""
+    query = "MATCH (p:Person) RETURN p.name AS n"
+    cursors = []
+    with serving_service.session() as session:
+        cursors.append(session.run(query))
+        expected = jsonable(session.run(query).fetch_all())
+        with client.session() as remote_session:
+            cursors.append(remote_session.cursor(query, fetch_size=4))
+            for cursor in cursors:
+                assert jsonable([cursor.fetch_one()]) == expected[:1]
+                assert jsonable(cursor.fetch_all()) == expected[1:]
+                assert cursor.fetch_one() is None
+                assert not cursor.closed  # exhaustion alone does not close
+                cursor.close()
+                assert cursor.closed
+                assert cursor.fetch_one() is None
+
+
+def test_remote_close_sends_delete_only_before_exhaustion(client, server, monkeypatch):
+    deletes = []
+    call = client.call
+
+    def recording_call(method, path, *args, **kwargs):
+        if method == "DELETE" and path.startswith("/v1/cursors/"):
+            deletes.append(path)
+        return call(method, path, *args, **kwargs)
+
+    monkeypatch.setattr(client, "call", recording_call)
+    query = "MATCH (p:Person) RETURN p.name AS n"
+    with client.session() as session:
+        early = session.cursor(query, fetch_size=4)
+        assert early.fetch_one() is not None
+        early.close()
+        early.close()
+        assert deletes == ["/v1/cursors/%s" % early.cursor_id]
+        assert early.closed and early.fetch_one() is None  # buffered rows dropped
+        drained = session.cursor(query, fetch_size=4)
+        drained.fetch_all()
+        drained.close()
+        assert drained.closed
+        assert len(deletes) == 1  # the server released the exhausted cursor
+        assert server.app.registry.stats()["cursors_open"] == 0
+
+
 def test_session_close_via_delete(client, server):
     session = client.session()
     cursor = session.cursor("MATCH (p:Person) RETURN p.name AS n", fetch_size=4)

@@ -16,6 +16,9 @@ PARITY_QUERIES = [
     "MATCH (p:Person)-[:Knows]->(f:Person) RETURN f.name AS n ORDER BY n LIMIT 4",
 ]
 
+TWO_HOP_QUERY = ("MATCH (p:Person)-[:Knows]->(f:Person)-[:Knows]->(h:Person) "
+                 "RETURN h.name AS name")
+
 
 @pytest.fixture(scope="module")
 def service(social_graph):
@@ -88,15 +91,21 @@ class TestEarlyExit:
         assert metrics.intermediate_results < 5_000
         assert metrics.intermediate_results < full.metrics.intermediate_results / 10
 
-    def test_early_close_stops_work(self, service):
-        with service.session() as session:
-            cursor = session.run(PARITY_QUERIES[0])
-            assert cursor.fetch_many(2)
-            partial = cursor.consume()
-            drained = session.run(PARITY_QUERIES[0])
-            drained.fetch_all()
-            full = drained.consume()
-        assert partial.intermediate_results < full.intermediate_results
+    @pytest.mark.parametrize("query", [PARITY_QUERIES[0], TWO_HOP_QUERY])
+    def test_early_close_stops_work(self, service, query):
+        """Under ``row`` the work grows with every row pulled: an early
+        close pays neither for the rest of an expansion's fan-out nor for
+        the rows above it."""
+        work = []
+        with service.session(engine="row") as session:
+            for count in (1, 5, None):
+                cursor = session.run(query)
+                if count is None:
+                    cursor.fetch_all()
+                else:
+                    assert len(cursor.fetch_many(count)) == count
+                work.append(cursor.consume().intermediate_results)
+        assert work[0] < work[1] < work[2], work
 
 
 class TestResultCursor:

@@ -48,6 +48,13 @@ def test_removed_names_are_gone(social_graph):
         assert not hasattr(runtime, name), name
     assert not hasattr(sinks, "BatchSink")
     assert not hasattr(common, "normalized_column")
+    # one serial pipeline: ``row`` is the batch pipeline at one row
+    import repro.backend.runtime.kernels.registry as registry
+    import repro.backend.runtime.streaming as streaming
+    for name in ("stream_rows", "_run_rows", "_replay_rows"):
+        assert not hasattr(streaming, name), name
+    assert not hasattr(runtime, "stream_rows")
+    assert not hasattr(registry, "MODE_STREAM_ROWS")
     # the search switches live on PatternSearcher only
     config = OptimizerConfig()
     for name in ("enable_pruning", "enable_join_transform", "enable_greedy_bound"):
